@@ -9,6 +9,7 @@ Figure 18 sweep (run separately) shows where locality starts to suffer.
 
 from repro.engine import GlaResources
 from repro.harness.runner import get_runner
+from repro.hypergraph.pipeline import PreprocessSpec
 from repro.sim.config import scaled_config
 
 
@@ -20,7 +21,7 @@ def _measure():
     rows = []
     for w_min in (1, 3, 9, 17, 33):
         resources = GlaResources.build(
-            hypergraph, config.num_cores, w_min=w_min
+            hypergraph, config.num_cores, PreprocessSpec(w_min=w_min)
         )
         oag_bytes = resources.storage_bytes()
         edges = sum(o.num_edges for o in resources.hyperedge_oags)

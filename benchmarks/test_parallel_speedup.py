@@ -45,7 +45,9 @@ def _render(runner: Runner, figure: str) -> str:
     reason=f"needs ≥{JOBS} CPUs for a meaningful parallel-speedup gate",
 )
 def test_parallel_cold_run_speedup(benchmark, emit, tmp_path):
-    specs = registry.run_matrix(FIGURES)
+    # The executor takes normalized specs: resolve them as the runners
+    # that render the tables below will.
+    specs = [Runner().normalize(spec) for spec in registry.run_matrix(FIGURES)]
     assert len(specs) == 22
     assert len(plan_shards(specs, JOBS)) == JOBS  # enough groups to fan out
 

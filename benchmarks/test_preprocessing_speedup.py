@@ -3,18 +3,26 @@
 Guards the tentpole claim of the fast-path PR: the vectorized OAG builder
 is at least 5× faster than the scalar reference on a generator-produced
 hypergraph with at least 2k hyperedges, while producing a bit-identical
-CSR.  Chain generation timings ride along for context (its fast path is
-parity-tested in ``tests/core/test_fast_parity.py``).
+CSR.  The scalar reference is the test oracle ``tests/core/oag_ref.py``,
+imported from that directory.  Chain generation timings ride along for
+context: the probed scalar walk (a bare ``ChainProbe()``) against the
+probe-free walk, parity-tested in ``tests/core/test_fast_parity.py``.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.benchmark.measure import timed
-from repro.core.chain import ChainGenerator
+from repro.core.chain import ChainGenerator, ChainProbe
 from repro.core.oag import build_oag
 from repro.hypergraph.generators import paper_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "core"))
+from oag_ref import build_oag_ref  # noqa: E402
 
 MIN_SPEEDUP = 5.0
 
@@ -25,10 +33,10 @@ def test_preprocessing_speedup(benchmark, emit):
 
     def measure():
         scalar_oag, scalar_s = timed(
-            lambda: build_oag(hypergraph, "hyperedge", fast=False)
+            lambda: build_oag_ref(hypergraph, "hyperedge")
         )
         fast_oag, fast_s = timed(
-            lambda: build_oag(hypergraph, "hyperedge", fast=True)
+            lambda: build_oag(hypergraph, "hyperedge")
         )
         assert np.array_equal(scalar_oag.csr.offsets, fast_oag.csr.offsets)
         assert np.array_equal(scalar_oag.csr.indices, fast_oag.csr.indices)
@@ -37,10 +45,10 @@ def test_preprocessing_speedup(benchmark, emit):
 
         active = np.ones(fast_oag.num_nodes, dtype=bool)
         scalar_chains, chain_scalar_s = timed(
-            lambda: ChainGenerator(fast=False).generate(active, fast_oag)
+            lambda: ChainGenerator().generate(active, fast_oag, ChainProbe())
         )
         fast_chains, chain_fast_s = timed(
-            lambda: ChainGenerator(fast=True).generate(active, fast_oag)
+            lambda: ChainGenerator().generate(active, fast_oag)
         )
         assert scalar_chains.chains == fast_chains.chains
 

@@ -62,6 +62,7 @@ a traceback; ``repro --version`` reports the package version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from collections.abc import Sequence
 
@@ -346,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pre.add_argument("--w-min", type=int, default=None, help="OAG pruning threshold")
     pre.add_argument("--d-max", type=int, default=None, help="chain depth bound")
+    pre.set_defaults(preprocess=None)  # artifacts of the unstaged datasets
     pre.add_argument(
         "--workers", type=int, default=None,
         help="parallel worker processes (default: one per job, capped at CPUs)",
@@ -546,9 +548,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     runner = Runner()
     violations = 0
     for engine in engines:
-        result = runner.run(
-            _workload_spec(args, engine), profile=True, check=args.check,
+        spec = dataclasses.replace(
+            _workload_spec(args, engine), profile=True, check=args.check
         )
+        result = runner.run(spec)
         label = f"{engine} — {args.algorithm} on {args.dataset}"
         if result.telemetry is None:
             print(f"{label}: no telemetry recorded", file=sys.stderr)
@@ -583,7 +586,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiment id(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    runner = Runner(cache_dir=args.cache_dir)
+    runner = Runner(
+        cache_dir=args.cache_dir, profile=args.profile, check=args.check
+    )
     if runner.store is None and not args.check and (
         args.jobs is None or args.jobs > 1
     ):
@@ -594,8 +599,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     specs = registry.run_matrix(ids)
     results = runner.run_many(
-        specs, jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        profile=args.profile or args.check, check=args.check,
+        specs, jobs=args.jobs, timeout=args.timeout, retries=args.retries
     )
     for experiment_id in ids:
         title, headers, rows = EXPERIMENTS[experiment_id](runner)
@@ -825,12 +829,7 @@ def _cmd_prewarm(args: argparse.Namespace) -> int:
         return 2
     datasets = [d for d in args.datasets.split(",") if d]
     core_counts = [int(c) for c in args.cores.split(",") if c]
-    kwargs = {}
-    if args.w_min is not None:
-        kwargs["w_min"] = args.w_min
-    if args.d_max is not None:
-        kwargs["d_max"] = args.d_max
-    jobs = prewarm_jobs(datasets, core_counts, **kwargs)
+    jobs = prewarm_jobs(datasets, core_counts, _preprocess_spec(args))
     reports = prewarm(store.root, jobs, workers=args.workers)
     rows = [
         [
@@ -989,10 +988,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
                 "coalesced_into", "latency", "error",
             )
         ]
-        request = job.get("request", {})
-        # The wire format wraps the RunSpec; fall back to the legacy flat
-        # fields for records from an older server.
-        spec = request.get("spec", request)
+        spec = job["request"]["spec"]
         rows[2:2] = [[
             "request",
             f"{spec.get('engine')}/{spec.get('algorithm')}/"

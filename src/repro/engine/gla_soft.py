@@ -115,9 +115,7 @@ class SoftwareGlaEngine(ExecutionEngine):
             self.resources = GlaResources.build(
                 hypergraph, system.config.num_cores
             )
-        self._generator = ChainGenerator(
-            d_max=self.resources.d_max, fast=self.resources.fast
-        )
+        self._generator = ChainGenerator(d_max=self.resources.d_max)
         self._stats = {
             "chains": 0.0,
             "elements": 0.0,

@@ -15,13 +15,12 @@ import time
 
 from typing import TYPE_CHECKING
 
-from repro.core.chain import DEFAULT_D_MAX
-from repro.core.oag import DEFAULT_W_MIN, Oag, build_chunk_oags
+from repro.core.oag import Oag, build_chunk_oags
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import contiguous_chunks
+from repro.hypergraph.pipeline import PreprocessSpec
 
 if TYPE_CHECKING:
-    from repro.hypergraph.pipeline import PreprocessSpec
     from repro.store import ArtifactStore
 
 __all__ = ["GlaResources"]
@@ -38,31 +37,30 @@ class GlaResources:
     hyperedge_oags: list[Oag]
     build_seconds: float
     build_operations: int
-    fast: bool = True
 
     @classmethod
     def build(
         cls,
         hypergraph: Hypergraph,
         num_cores: int,
-        w_min: int = DEFAULT_W_MIN,
-        d_max: int = DEFAULT_D_MAX,
-        fast: bool = True,
+        preprocessing: PreprocessSpec | None = None,
     ) -> "GlaResources":
         """Construct both sides' chunk OAGs for an ``num_cores``-way run.
 
-        ``fast`` selects the vectorized OAG builders (parity-tested against
-        the scalar reference, so results and Figure 21 accounting are
-        unchanged either way).
+        ``preprocessing`` supplies ``w_min``/``d_max`` (the paper's
+        defaults when ``None``); its stage list describes how
+        ``hypergraph`` was produced and does not affect the build.
         """
+        if preprocessing is None:
+            preprocessing = PreprocessSpec()
         start = time.perf_counter()
         vertex_chunks = contiguous_chunks(hypergraph.num_vertices, num_cores)
         hyperedge_chunks = contiguous_chunks(hypergraph.num_hyperedges, num_cores)
         vertex_oags = build_chunk_oags(
-            hypergraph, "vertex", vertex_chunks, w_min, fast=fast
+            hypergraph, "vertex", vertex_chunks, preprocessing.w_min
         )
         hyperedge_oags = build_chunk_oags(
-            hypergraph, "hyperedge", hyperedge_chunks, w_min, fast=fast
+            hypergraph, "hyperedge", hyperedge_chunks, preprocessing.w_min
         )
         elapsed = time.perf_counter() - start
         operations = sum(
@@ -70,13 +68,12 @@ class GlaResources:
         )
         return cls(
             num_cores=num_cores,
-            w_min=w_min,
-            d_max=d_max,
+            w_min=preprocessing.w_min,
+            d_max=preprocessing.d_max,
             vertex_oags=vertex_oags,
             hyperedge_oags=hyperedge_oags,
             build_seconds=elapsed,
             build_operations=operations,
-            fast=fast,
         )
 
     @classmethod
@@ -84,11 +81,8 @@ class GlaResources:
         cls,
         hypergraph: Hypergraph,
         num_cores: int,
-        w_min: int = DEFAULT_W_MIN,
-        d_max: int = DEFAULT_D_MAX,
-        fast: bool = True,
         store: "ArtifactStore | None" = None,
-        preprocessing: "PreprocessSpec | None" = None,
+        preprocessing: PreprocessSpec | None = None,
     ) -> "GlaResources":
         """:meth:`build`, persisted through an artifact ``store``.
 
@@ -97,31 +91,21 @@ class GlaResources:
         combination is loaded when present and bit-identical to a fresh
         build; on a miss — including checksum or schema failures, which the
         store reports as misses — the resources are built and written back.
-        ``store=None`` degrades to a plain build.
-
-        ``preprocessing`` (a
-        :class:`~repro.hypergraph.pipeline.PreprocessSpec`) is the typed
-        form of the build parameters; when given, its ``w_min``/``d_max``
-        supersede the legacy keyword arguments and its full record —
-        including the stage list that produced ``hypergraph`` — is hashed
-        into the store key, so artifacts can never alias across pipelines.
+        ``store=None`` degrades to a plain build.  The full preprocessing
+        record — including the stage list that produced ``hypergraph`` —
+        is hashed into the store key, so artifacts can never alias across
+        pipelines.
         """
-        from repro.hypergraph.pipeline import PreprocessSpec
-
         if preprocessing is None:
-            preprocessing = PreprocessSpec(w_min=w_min, d_max=d_max)
-        w_min = preprocessing.w_min
-        d_max = preprocessing.d_max
+            preprocessing = PreprocessSpec()
         if store is None:
-            return cls.build(hypergraph, num_cores, w_min=w_min, d_max=d_max, fast=fast)
+            return cls.build(hypergraph, num_cores, preprocessing)
         from repro.store.keys import resources_key
 
         key = resources_key(hypergraph.content_hash(), num_cores, preprocessing)
         resources = store.get_resources(key)
         if resources is None:
-            resources = cls.build(
-                hypergraph, num_cores, w_min=w_min, d_max=d_max, fast=fast
-            )
+            resources = cls.build(hypergraph, num_cores, preprocessing)
             store.put_resources(key, resources)
         return resources
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.chgraph.area import area_report
-from repro.engine import RunResult
 from repro.harness.datasets import GRAPH_DATASETS
 from repro.harness.runner import PAPER_APPS, Runner
 from repro.harness.spec import RunSpec
@@ -217,9 +216,9 @@ def table2_rows(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
 
 def fig02_memory_accesses(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
     """GLA reduces main-memory accesses vs Hygra (PR on WEB)."""
-    hygra = runner.run("Hygra", "PR", "WEB")
-    gla = runner.run("GLA", "PR", "WEB")
-    chg = runner.run("ChGraph", "PR", "WEB")
+    hygra = runner.run(RunSpec("Hygra", "PR", "WEB"))
+    gla = runner.run(RunSpec("GLA", "PR", "WEB"))
+    chg = runner.run(RunSpec("ChGraph", "PR", "WEB"))
     rows = [
         ["Hygra", hygra.dram_accesses, 1.0],
         ["GLA", gla.dram_accesses, hygra.dram_accesses / gla.dram_accesses],
@@ -234,9 +233,9 @@ def fig02_memory_accesses(runner: Runner) -> tuple[str, list[str], list[list[obj
 
 def fig03_performance(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
     """Software GLA is slower than Hygra; ChGraph reverses it (PR on WEB)."""
-    hygra = runner.run("Hygra", "PR", "WEB")
-    gla = runner.run("GLA", "PR", "WEB")
-    chg = runner.run("ChGraph", "PR", "WEB")
+    hygra = runner.run(RunSpec("Hygra", "PR", "WEB"))
+    gla = runner.run(RunSpec("GLA", "PR", "WEB"))
+    chg = runner.run(RunSpec("ChGraph", "PR", "WEB"))
     rows = [
         ["Hygra", hygra.cycles, 1.0],
         ["GLA", gla.cycles, gla.speedup_over(hygra)],
@@ -257,7 +256,8 @@ def fig05_memory_stalls(
     for app in apps:
         row: list[object] = [app]
         for dataset in PAPER_DATASETS:
-            row.append(runner.run("Hygra", app, dataset).memory_stall_fraction)
+            run = runner.run(RunSpec("Hygra", app, dataset))
+            row.append(run.memory_stall_fraction)
         rows.append(row)
     return (
         "Figure 5: fraction of time stalled on memory (Hygra)",
@@ -273,8 +273,8 @@ def fig07_hats_v(
     rows = []
     for app in apps:
         for dataset in PAPER_DATASETS:
-            hats = runner.run("HATS-V", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
+            hats = runner.run(RunSpec("HATS-V", app, dataset))
+            chg = runner.run(RunSpec("ChGraph", app, dataset))
             rows.append([app, dataset, chg.speedup_over(hats)])
     return (
         "Figure 7: ChGraph speedup over HATS-V",
@@ -311,9 +311,9 @@ def fig14_performance(
     rows = []
     for app in apps:
         for dataset in PAPER_DATASETS:
-            hygra = runner.run("Hygra", app, dataset)
-            gla = runner.run("GLA", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
+            hygra = runner.run(RunSpec("Hygra", app, dataset))
+            gla = runner.run(RunSpec("GLA", app, dataset))
+            chg = runner.run(RunSpec("ChGraph", app, dataset))
             rows.append([
                 app,
                 dataset,
@@ -337,8 +337,8 @@ def fig15_breakdown(
     for app in apps:
         for dataset in PAPER_DATASETS:
             for name, run in (
-                ("H", runner.run("Hygra", app, dataset)),
-                ("C", runner.run("ChGraph", app, dataset)),
+                ("H", runner.run(RunSpec("Hygra", app, dataset))),
+                ("C", runner.run(RunSpec("ChGraph", app, dataset))),
             ):
                 breakdown = run.dram_by_group
                 rows.append([
@@ -360,9 +360,9 @@ def fig16_hw_breakdown(
     """Benefit breakdown of HCG and CP over the software GLA baseline."""
     rows = []
     for app in apps:
-        gla = runner.run("GLA", app, dataset)
-        hcg = runner.run("ChGraph-HCGonly", app, dataset)
-        full = runner.run("ChGraph", app, dataset)
+        gla = runner.run(RunSpec("GLA", app, dataset))
+        hcg = runner.run(RunSpec("ChGraph-HCGonly", app, dataset))
+        full = runner.run(RunSpec("ChGraph", app, dataset))
         rows.append([
             app,
             hcg.speedup_over(gla),
@@ -379,41 +379,18 @@ def fig16_hw_breakdown(
 # -- sensitivity sweeps --------------------------------------------------------
 
 
-def _chgraph_run(
-    dataset_key: str,
-    runner: Runner,
-    d_max: int | None = None,
-    w_min: int | None = None,
-    config: SystemConfig | None = None,
-) -> RunResult:
-    """A ChGraph PR run with non-default preprocessing (sweeps).
-
-    The sweep point travels as the spec's own ``PreprocessSpec``, so these
-    runs go through the ordinary memoized/store-backed ``runner.run`` path
-    instead of hand-building resources — and their specs match the ones
-    :data:`RUN_MATRICES` declares for prewarming.
-    """
-    defaults = PreprocessSpec()
-    spec = RunSpec(
-        "ChGraph",
-        "PR",
-        dataset_key,
-        config=config,
-        preprocessing=PreprocessSpec(
-            w_min=defaults.w_min if w_min is None else w_min,
-            d_max=defaults.d_max if d_max is None else d_max,
-        ),
-    )
-    return runner.run(spec)
-
-
 def fig17_dmax_sweep(
     runner: Runner,
     dataset: str = "WEB",
     depths: tuple[int, ...] = (2, 4, 8, 16, 32, 64),
 ) -> tuple[str, list[str], list[list[object]]]:
     """ChGraph PR performance vs maximum exploration depth D_max."""
-    runs = {d: _chgraph_run(dataset, runner, d_max=d) for d in depths}
+    runs = {
+        d: runner.run(
+            RunSpec("ChGraph", "PR", dataset, preprocessing=PreprocessSpec(d_max=d))
+        )
+        for d in depths
+    }
     base = runs[depths[0]].cycles
     rows = [[d, runs[d].cycles, base / runs[d].cycles] for d in depths]
     return (
@@ -435,7 +412,12 @@ def fig18_wmin_sweep(
     so their weights sit near 20-45 and the decline appears at
     correspondingly larger thresholds — same shape, shifted axis.
     """
-    runs = {w: _chgraph_run(dataset, runner, w_min=w) for w in thresholds}
+    runs = {
+        w: runner.run(
+            RunSpec("ChGraph", "PR", dataset, preprocessing=PreprocessSpec(w_min=w))
+        )
+        for w in thresholds
+    }
     base = runs[thresholds[0]].cycles
     rows = [[w, runs[w].cycles, base / runs[w].cycles] for w in thresholds]
     return (
@@ -456,7 +438,7 @@ def fig19_llc_sweep(
     base_cycles = None
     for llc in llc_kbs:
         config = scaled_config(llc_kb=llc)
-        run = runner.run("ChGraph", "PR", dataset, config)
+        run = runner.run(RunSpec("ChGraph", "PR", dataset, config))
         if base_cycles is None:
             base_cycles = run.cycles
         rows.append([f"{llc}KB", run.cycles, base_cycles / run.cycles])
@@ -476,8 +458,8 @@ def fig20_core_scaling(
     rows = []
     for n in cores:
         config = scaled_config(num_cores=n)
-        hygra = runner.run("Hygra", "PR", dataset, config)
-        chg = runner.run("ChGraph", "PR", dataset, config)
+        hygra = runner.run(RunSpec("Hygra", "PR", dataset, config))
+        chg = runner.run(RunSpec("ChGraph", "PR", dataset, config))
         rows.append([n, hygra.cycles, chg.cycles, chg.speedup_over(hygra)])
     return (
         f"Figure 20: core-count scaling, PR on {dataset}",
@@ -531,8 +513,8 @@ def fig22_total_time(
     for app in apps:
         for dataset in PAPER_DATASETS:
             hygra_pre, oag_pre, _ = _preprocess_costs(runner, dataset)
-            hygra = runner.run("Hygra", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
+            hygra = runner.run(RunSpec("Hygra", app, dataset))
+            chg = runner.run(RunSpec("ChGraph", app, dataset))
             total_hygra = hygra.cycles + hygra_pre
             total_chg = chg.cycles + hygra_pre + oag_pre
             rows.append([app, dataset, total_hygra / total_chg])
@@ -553,9 +535,9 @@ def fig23_prefetcher(
     rows = []
     for app in apps:
         for dataset in PAPER_DATASETS:
-            pref = runner.run("EventPrefetcher", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
-            hygra = runner.run("Hygra", app, dataset)
+            pref = runner.run(RunSpec("EventPrefetcher", app, dataset))
+            chg = runner.run(RunSpec("ChGraph", app, dataset))
+            hygra = runner.run(RunSpec("Hygra", app, dataset))
             rows.append([
                 app,
                 dataset,
@@ -582,8 +564,8 @@ def fig24_reordering(
     pipeline = runner.pipeline(runner.dataset(dataset), REORDER_PREPROCESS)
     reorder_cycles = pipeline.cost_accesses * PREPROCESS_OP_CYCLES
 
-    hygra = runner.run("Hygra", "PR", dataset)
-    chg = runner.run("ChGraph", "PR", dataset)
+    hygra = runner.run(RunSpec("Hygra", "PR", dataset))
+    chg = runner.run(RunSpec("ChGraph", "PR", dataset))
     hygra_re = runner.run(
         RunSpec("Hygra", "PR", dataset, preprocessing=REORDER_PREPROCESS)
     )
@@ -610,9 +592,9 @@ def fig25_graph_apps(runner: Runner) -> tuple[str, list[str], list[list[object]]
     rows = []
     for app in ("Adsorption", "SSSP"):
         for dataset in GRAPH_DATASETS:
-            ligra = runner.run("Ligra", app, dataset)
-            hats = runner.run("HATS-V", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
+            ligra = runner.run(RunSpec("Ligra", app, dataset))
+            hats = runner.run(RunSpec("HATS-V", app, dataset))
+            chg = runner.run(RunSpec("ChGraph", app, dataset))
             rows.append([
                 app,
                 dataset,
@@ -636,9 +618,9 @@ def headline_summary(
         reductions = []
         gla = []
         for dataset in PAPER_DATASETS:
-            hygra = runner.run("Hygra", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
-            soft = runner.run("GLA", app, dataset)
+            hygra = runner.run(RunSpec("Hygra", app, dataset))
+            chg = runner.run(RunSpec("ChGraph", app, dataset))
+            soft = runner.run(RunSpec("GLA", app, dataset))
             speedups.append(chg.speedup_over(hygra))
             reductions.append(chg.dram_reduction_over(hygra))
             gla.append(soft.speedup_over(hygra))

@@ -36,8 +36,6 @@ import signal
 import time
 from typing import TYPE_CHECKING
 
-from repro.core.chain import DEFAULT_D_MAX
-from repro.core.oag import DEFAULT_W_MIN
 from repro.harness.spec import RunSpec
 from repro.hypergraph.pipeline import PreprocessSpec
 
@@ -146,14 +144,13 @@ def plan_shards(specs: list[RunSpec], jobs: int) -> list[list[RunSpec]]:
 class _ShardPayload:
     """Everything a worker needs to rebuild its Runner and run its shard.
 
-    The specs are fully normalized before sharding, so they carry their own
+    The specs are fully normalized, so they carry their own
     ``pr_iterations``/``profile``/``preprocessing``; only the store
-    location and the key-exempt ``fast`` flag travel separately.
+    location travels separately.
     """
 
     cache_dir: str | None
     specs: tuple[RunSpec, ...]
-    fast: bool
     timeout: float | None
     parent_pid: int
     fault: str | None = None  # test hook, see _maybe_fault
@@ -231,7 +228,7 @@ def _run_shard(payload: _ShardPayload) -> list[RunReport]:
     """
     from repro.harness.runner import Runner
 
-    runner = Runner(fast=payload.fast, cache_dir=payload.cache_dir)
+    runner = Runner(cache_dir=payload.cache_dir)
     where = "worker" if os.getpid() != payload.parent_pid else "inline"
     reports = []
     for spec in payload.specs:
@@ -264,14 +261,13 @@ def execute_runs(
     timeout: float | None = None,
     retries: int = 2,
     backoff: float = 0.5,
-    pr_iterations: int = 2,
-    fast: bool = True,
-    w_min: int = DEFAULT_W_MIN,
-    d_max: int = DEFAULT_D_MAX,
-    profile: bool = False,
     fault: str | None = None,
 ) -> ExecutionReport:
     """Execute the run matrix, parallel where possible, and report.
+
+    ``specs`` must be normalized (see
+    :meth:`Runner.normalize <repro.harness.runner.Runner.normalize>`): a
+    worker's runner has no defaults of the caller's to fill in.
 
     With a ``cache_dir`` and ``jobs > 1``, the deduplicated matrix is
     packed by :func:`plan_shards` and dispatched to worker processes via
@@ -286,22 +282,15 @@ def execute_runs(
     (None-on-1-cpu, 0, 1)``, or fewer than two runs, execution degrades to
     a single inline shard.  ``fault`` is the test-only crash-injection
     hook documented on ``_maybe_fault``.
-
-    The ``pr_iterations``/``w_min``/``d_max``/``profile`` keywords are the
-    defaults specs are normalized against — a spec that carries its own
-    values keeps them (``profile`` is sticky: asking the executor to
-    profile profiles every run).
     """
     start = time.perf_counter()
-    defaults = PreprocessSpec(w_min=w_min, d_max=d_max)
-    unique = list(dict.fromkeys(
-        spec.normalized(
-            pr_iterations=pr_iterations,
-            preprocessing=defaults,
-            profile=profile,
-        )
-        for spec in specs
-    ))
+    unique = list(dict.fromkeys(specs))
+    unresolved = [
+        spec.label() for spec in unique
+        if None in (spec.config, spec.pr_iterations, spec.preprocessing)
+    ]
+    if unresolved:
+        raise ValueError(f"specs are not normalized: {', '.join(unresolved)}")
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, jobs)
@@ -314,7 +303,6 @@ def execute_runs(
         return _ShardPayload(
             cache_dir=cache_dir,
             specs=tuple(shard),
-            fast=fast,
             timeout=per_run_timeout,
             parent_pid=os.getpid(),
             fault=fault,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.algorithms import (
     Adsorption,
@@ -38,8 +38,6 @@ import numpy as np
 
 from repro.algorithms.base import HypergraphAlgorithm
 from repro.engine import GlaResources, RunResult
-from repro.core.chain import DEFAULT_D_MAX
-from repro.core.oag import DEFAULT_W_MIN
 from repro.engine.base import ExecutionEngine
 from repro.engine.registry import ENGINE_REGISTRY, create_engine
 from repro.harness.datasets import graph_dataset, hypergraph_dataset
@@ -108,28 +106,28 @@ class Runner:
     the persistent artifact store: resources and run results are then
     loaded from / written to disk around the in-process memo, so repeated
     invocations across interpreters skip preprocessing and simulation.
+
+    ``pr_iterations`` and ``preprocessing`` are the defaults for specs that
+    leave those fields ``None``.  ``profile``/``check`` instrument *every*
+    run this runner executes (a spec may still ask for them itself), so a
+    figure body's plain ``RunSpec`` resolves to the same instrumented memo
+    entry as the batch that prewarmed it.
     """
 
     def __init__(
         self,
         pr_iterations: int | None = None,
-        fast: bool = True,
         cache_dir: str | Path | None = None,
-        w_min: int = DEFAULT_W_MIN,
-        d_max: int = DEFAULT_D_MAX,
         preprocessing: PreprocessSpec | None = None,
+        profile: bool = False,
+        check: bool = False,
     ) -> None:
         if pr_iterations is None:
             pr_iterations = 10 if _full_mode() else 2
         self.pr_iterations = pr_iterations
-        self.fast = fast
-        #: The default preprocessing record for specs that do not carry
-        #: their own; ``w_min``/``d_max`` are its legacy spelling.
-        if preprocessing is None:
-            preprocessing = PreprocessSpec(w_min=w_min, d_max=d_max)
-        self.preprocessing = preprocessing
-        self.w_min = preprocessing.w_min
-        self.d_max = preprocessing.d_max
+        self.preprocessing = preprocessing or PreprocessSpec()
+        self.profile = profile
+        self.check = check
         self._results: dict[RunSpec, RunResult] = {}
         self._resources: dict[tuple, GlaResources] = {}
         self._pipelines: dict[tuple, PipelineResult] = {}
@@ -167,21 +165,15 @@ class Runner:
     ) -> GlaResources:
         # The memo keys on the hypergraph *content* plus every build
         # parameter: name-keying would alias differently scaled variants of
-        # one dataset, and dropping the preprocessing record or fast would
-        # alias runs configured with non-default preprocessing.
+        # one dataset, and dropping the preprocessing record would alias
+        # runs configured with non-default preprocessing.
         if preprocessing is None:
             preprocessing = self.preprocessing
-        key = (
-            hypergraph.content_hash(),
-            config.num_cores,
-            preprocessing,
-            self.fast,
-        )
+        key = (hypergraph.content_hash(), config.num_cores, preprocessing)
         if key not in self._resources:
             self._resources[key] = GlaResources.build_or_load(
                 hypergraph,
                 config.num_cores,
-                fast=self.fast,
                 store=self.store,
                 preprocessing=preprocessing,
             )
@@ -221,58 +213,35 @@ class Runner:
     # -- memoized execution ------------------------------------------------------
 
     def normalize(self, spec: RunSpec) -> RunSpec:
-        """Resolve a spec's ``None`` fields against this runner's defaults."""
+        """Resolve a spec's ``None`` fields and instrumentation against this
+        runner's defaults."""
+        if not isinstance(spec, RunSpec):
+            raise TypeError(f"expected a RunSpec, got {type(spec).__name__}")
         return spec.normalized(
             pr_iterations=self.pr_iterations,
             preprocessing=self.preprocessing,
+            profile=self.profile,
+            check=self.check,
         )
 
-    def run(
-        self,
-        spec: RunSpec | str,
-        algorithm_name: str | None = None,
-        dataset_key: str | None = None,
-        config: SystemConfig | None = None,
-        profile: bool = False,
-        check: bool = False,
-    ) -> RunResult:
+    def run(self, spec: RunSpec) -> RunResult:
         """Simulate (memoized) a :class:`~repro.harness.spec.RunSpec` and
         return the :class:`RunResult`.
 
-        The canonical call is ``run(spec)``.  The legacy positional
-        signature ``run(engine_name, algorithm_name, dataset_key, config,
-        profile=, check=)`` still works as a deprecated shim — it is
-        repackaged into a spec — and the ``profile``/``check`` keywords act
-        as sticky overrides on a spec that did not set them itself.
-
-        ``profile=True`` runs the simulation under an
+        A profiled spec runs under an
         :class:`~repro.sim.observe.InstrumentedSystem` so the result carries
         :class:`~repro.sim.telemetry.RunTelemetry`; the simulated cycles and
         DRAM counts are identical to an unprofiled run, but the entries are
         memoized (and stored) separately because only one carries telemetry.
 
-        ``check=True`` additionally attaches an
+        A checked spec additionally attaches an
         :class:`~repro.sim.invariants.InvariantChecker` (implying
         instrumentation); any violations land on
         ``result.telemetry.violations``.  Checked runs bypass the persistent
         store — the whole point of checking is to re-execute the simulation,
         and a store hit would silently skip the audit.
         """
-        if not isinstance(spec, RunSpec):
-            if algorithm_name is None or dataset_key is None:
-                raise TypeError(
-                    "run() takes a RunSpec or the legacy "
-                    "(engine, algorithm, dataset[, config]) positional form"
-                )
-            spec = RunSpec(spec, algorithm_name, dataset_key, config)
-        return self._run_spec(
-            spec.normalized(
-                pr_iterations=self.pr_iterations,
-                preprocessing=self.preprocessing,
-                profile=profile,
-                check=check,
-            )
-        )
+        return self._run_spec(self.normalize(spec))
 
     def _run_spec(self, spec: RunSpec) -> RunResult:
         """Execute one fully-normalized spec (the memo and store unit)."""
@@ -323,58 +292,38 @@ class Runner:
 
     def run_many(
         self,
-        specs: Iterable[RunSpec | tuple[Any, ...]],
+        specs: Iterable[RunSpec],
         jobs: int | None = None,
         timeout: float | None = None,
         retries: int = 2,
-        profile: bool = False,
-        check: bool = False,
     ) -> dict[RunSpec, RunResult]:
         """Batch :meth:`run`: execute a whole run matrix, sharded in parallel.
 
-        ``specs`` is an iterable of :class:`~repro.harness.parallel.RunSpec`
-        (or ``(engine, algorithm, dataset[, config])`` tuples).  With a
-        persistent store and ``jobs > 1``, the matrix is executed by the
-        sharded :func:`~repro.harness.parallel.execute_runs` executor —
+        With a persistent store and ``jobs > 1``, the matrix is executed by
+        the sharded :func:`~repro.harness.parallel.execute_runs` executor —
         workers fill the shared store, then this process assembles every
         result from warm hits, so the returned values are identical to
         serial execution.  Without a store (or ``jobs <= 1``) the batch
-        degrades to the plain serial loop.
+        degrades to the plain serial loop, and so does a batch with checked
+        runs: those must actually execute here, not be assembled from
+        worker-warmed store entries.
 
         Returns ``{spec: RunResult}``; the executor's
         :class:`~repro.harness.parallel.ExecutionReport` (or ``None`` when
         it was skipped) is left on :attr:`last_execution_report`.
-
-        ``check=True`` forces the serial in-process path: checked runs
-        attach an invariant checker and must actually execute here, not be
-        assembled from worker-warmed store entries.
         """
         from repro.harness.parallel import execute_runs
 
-        specs = [
-            spec if isinstance(spec, RunSpec) else RunSpec(*spec)
-            for spec in specs
-        ]
-        unique = list(dict.fromkeys(specs))
-        resolved = {
-            spec: spec.normalized(
-                pr_iterations=self.pr_iterations,
-                preprocessing=self.preprocessing,
-                profile=profile,
-                check=check,
-            )
-            for spec in unique
-        }
+        resolved = {spec: self.normalize(spec) for spec in specs}
         self.last_execution_report = None
-        if check or any(s.check for s in resolved.values()):
-            return {
-                spec: self._run_spec(resolved[spec]) for spec in unique
-            }
         pending = list(dict.fromkeys(
             s for s in resolved.values() if s not in self._results
         ))
-        if self.store is not None and len(pending) > 1 and (
-            jobs is None or jobs > 1
+        if (
+            self.store is not None
+            and len(pending) > 1
+            and (jobs is None or jobs > 1)
+            and not any(s.check for s in pending)
         ):
             self.last_execution_report = execute_runs(
                 pending,
@@ -382,25 +331,8 @@ class Runner:
                 jobs=jobs,
                 timeout=timeout,
                 retries=retries,
-                pr_iterations=self.pr_iterations,
-                fast=self.fast,
-                w_min=self.w_min,
-                d_max=self.d_max,
             )
-        return {spec: self._run_spec(resolved[spec]) for spec in unique}
-
-    def speedup(
-        self,
-        engine_name: str,
-        baseline_name: str,
-        algorithm_name: str,
-        dataset_key: str,
-        config: SystemConfig | None = None,
-    ) -> float:
-        """Speedup of ``engine_name`` over ``baseline_name``."""
-        run = self.run(engine_name, algorithm_name, dataset_key, config)
-        base = self.run(baseline_name, algorithm_name, dataset_key, config)
-        return run.speedup_over(base)
+        return {spec: self._run_spec(run) for spec, run in resolved.items()}
 
 
 _runners: dict[tuple, Runner] = {}

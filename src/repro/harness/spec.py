@@ -19,13 +19,18 @@ picklable, and JSON-round-trippable (:meth:`to_json`/:meth:`from_json`).
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping
+from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
-from repro.hypergraph.pipeline import PreprocessSpec
+from repro.hypergraph.pipeline import PreprocessSpec, expect_json
 from repro.sim.config import SystemConfig, scaled_config
 
 __all__ = ["RunSpec"]
+
+#: The JSON value kind each ``SystemConfig`` field annotation accepts.
+_JSON_KINDS: dict[object, type | tuple[type, ...]] = {
+    "str": str, "int": int, "float": (int, float), "bool": bool,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,9 +40,7 @@ class RunSpec:
     ``config=None`` means the default :func:`~repro.sim.config.scaled_config`
     and ``pr_iterations=None``/``preprocessing=None`` mean the executing
     runner's defaults — kept as ``None`` (not eagerly resolved) so specs
-    stay cheap to hash and compare.  The first four fields keep their
-    historical positional order, so ``RunSpec(engine, algorithm, dataset,
-    config)`` tuples from older call sites still construct correctly.
+    stay cheap to hash and compare.
     """
 
     engine: str
@@ -135,22 +138,38 @@ class RunSpec:
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "RunSpec":
-        known = {
-            "engine", "algorithm", "dataset", "config", "pr_iterations",
-            "profile", "check", "preprocessing",
-        }
-        unknown = set(data) - known
+        """Parse and validate the :meth:`to_json` form.
+
+        Values are checked, never coerced: a string ``"false"`` is not a
+        bool, and neither ``2.9`` nor ``true`` is an integer.
+        """
+        unknown = set(data) - {field.name for field in dataclasses.fields(cls)}
         if unknown:
             raise ConfigurationError(
                 f"unknown RunSpec fields: {sorted(unknown)}"
             )
+        for name in ("engine", "algorithm", "dataset"):
+            if name not in data:
+                raise ConfigurationError(f"RunSpec is missing {name!r}")
         config = None
         raw_config = data.get("config")
         if raw_config is not None:
             if not isinstance(raw_config, Mapping):
                 raise ConfigurationError("RunSpec 'config' must be an object")
+            fields = dict(raw_config)
+            for field in dataclasses.fields(SystemConfig):
+                if field.name in fields:
+                    value = expect_json(
+                        "SystemConfig", field.name, fields[field.name],
+                        _JSON_KINDS[field.type],
+                    )
+                    # JSON has one number type; keep float fields floats so
+                    # equal configs serialize (and key) identically.
+                    fields[field.name] = (
+                        float(value) if field.type == "float" else value
+                    )
             try:
-                config = SystemConfig(**dict(raw_config))
+                config = SystemConfig(**fields)
             except TypeError as exc:
                 raise ConfigurationError(f"bad RunSpec config: {exc}") from None
         preprocessing = None
@@ -161,15 +180,20 @@ class RunSpec:
                     "RunSpec 'preprocessing' must be an object"
                 )
             preprocessing = PreprocessSpec.from_json(raw_pre)
-        raw_pr = data.get("pr_iterations")
+        def typed(name: str, kind: type, default: object = None) -> Any:
+            return expect_json("RunSpec", name, data.get(name, default), kind)
+
         spec = cls(
-            engine=str(data.get("engine", "")),
-            algorithm=str(data.get("algorithm", "")),
-            dataset=str(data.get("dataset", "")),
+            engine=typed("engine", str),
+            algorithm=typed("algorithm", str),
+            dataset=typed("dataset", str),
             config=config,
-            pr_iterations=None if raw_pr is None else int(raw_pr),
-            profile=bool(data.get("profile", False)),
-            check=bool(data.get("check", False)),
+            pr_iterations=(
+                None if data.get("pr_iterations") is None
+                else typed("pr_iterations", int)
+            ),
+            profile=typed("profile", bool, False),
+            check=typed("check", bool, False),
             preprocessing=preprocessing,
         )
         spec.validate()

@@ -23,7 +23,7 @@ never alias across preprocessing pipelines.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -41,7 +41,23 @@ __all__ = [
     "stage",
     "stage_names",
     "apply_pipeline",
+    "expect_json",
 ]
+
+
+def expect_json(owner: str, name: str, value: object, kind: type | tuple) -> Any:
+    """``value`` itself if it is a JSON value of ``kind``, else raise.
+
+    Wire values are validated, never coerced.  ``bool`` subclasses ``int``
+    in Python, but a JSON ``true`` is not a count, nor ``1`` a flag.
+    """
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        wanted = kind.__name__ if isinstance(kind, type) else "a number"
+        raise ConfigurationError(
+            f"{owner}.{name} must be {wanted}, got {value!r}"
+        )
+    return value
+
 
 #: JSON-compatible scalar parameter values a stage may take.
 ParamValue = bool | int | float | str
@@ -134,8 +150,12 @@ class PreprocessSpec:
         if not isinstance(raw_stages, (list, tuple)):
             raise ConfigurationError("PreprocessSpec 'stages' must be a list")
         spec = cls(
-            w_min=int(data.get("w_min", DEFAULT_W_MIN)),
-            d_max=int(data.get("d_max", DEFAULT_D_MAX)),
+            w_min=expect_json(
+                "PreprocessSpec", "w_min", data.get("w_min", DEFAULT_W_MIN), int
+            ),
+            d_max=expect_json(
+                "PreprocessSpec", "d_max", data.get("d_max", DEFAULT_D_MAX), int
+            ),
             stages=tuple(StageSpec.from_json(s) for s in raw_stages),
         )
         spec.validate()

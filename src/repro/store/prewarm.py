@@ -16,8 +16,6 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.chain import DEFAULT_D_MAX
-from repro.core.oag import DEFAULT_W_MIN
 from repro.engine.resources import GlaResources
 from repro.harness.datasets import GRAPH_DATASETS, graph_dataset, hypergraph_dataset
 from repro.hypergraph.pipeline import PreprocessSpec
@@ -34,8 +32,7 @@ class PrewarmJob:
 
     dataset: str
     num_cores: int
-    w_min: int = DEFAULT_W_MIN
-    d_max: int = DEFAULT_D_MAX
+    preprocessing: PreprocessSpec = PreprocessSpec()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,12 +49,11 @@ class PrewarmReport:
 def prewarm_jobs(
     datasets: list[str],
     core_counts: list[int],
-    w_min: int = DEFAULT_W_MIN,
-    d_max: int = DEFAULT_D_MAX,
+    preprocessing: PreprocessSpec = PreprocessSpec(),
 ) -> list[PrewarmJob]:
     """The cross product of datasets × core counts as prewarm jobs."""
     return [
-        PrewarmJob(dataset=d, num_cores=c, w_min=w_min, d_max=d_max)
+        PrewarmJob(dataset=d, num_cores=c, preprocessing=preprocessing)
         for d in datasets
         for c in core_counts
     ]
@@ -69,26 +65,21 @@ def _resolve_dataset(key: str):
     return hypergraph_dataset(key)
 
 
-def _run_job(payload: tuple[str, PrewarmJob, bool]) -> PrewarmReport:
+def _run_job(payload: tuple[str, PrewarmJob]) -> PrewarmReport:
     """Worker body: build (or find) one artifact in the store.
 
     Top-level so the process pool can pickle it; each worker opens its own
     store handle on the shared directory.
     """
-    store_dir, job, fast = payload
+    store_dir, job = payload
     store = ArtifactStore(store_dir)
     hypergraph = _resolve_dataset(job.dataset)
-    preprocessing = PreprocessSpec(w_min=job.w_min, d_max=job.d_max)
     key = resources_key(
-        hypergraph_content_hash(hypergraph), job.num_cores, preprocessing
+        hypergraph_content_hash(hypergraph), job.num_cores, job.preprocessing
     )
     start = time.perf_counter()
     GlaResources.build_or_load(
-        hypergraph,
-        job.num_cores,
-        fast=fast,
-        store=store,
-        preprocessing=preprocessing,
+        hypergraph, job.num_cores, store=store, preprocessing=job.preprocessing
     )
     built = store.stats.writes > 0
     path = store._payload_path("resources", key)
@@ -109,7 +100,6 @@ def prewarm(
     store_dir: str | os.PathLike,
     jobs: list[PrewarmJob],
     workers: int | None = None,
-    fast: bool = True,
 ) -> list[PrewarmReport]:
     """Materialize every job's artifact in ``store_dir``; reports in job order.
 
@@ -122,6 +112,6 @@ def prewarm(
     store_dir = str(Path(store_dir))
     if not jobs:
         return []
-    payloads = [(store_dir, job, fast) for job in jobs]
+    payloads = [(store_dir, job) for job in jobs]
     outcomes = run_tasks(_run_job, payloads, workers=workers)
     return [outcome.value for outcome in outcomes]

@@ -85,7 +85,6 @@ def resources_to_bytes(resources: GlaResources) -> bytes:
         "d_max": resources.d_max,
         "build_seconds": resources.build_seconds,
         "build_operations": resources.build_operations,
-        "fast": resources.fast,
         "vertex_oags": [_oag_meta(o) for o in resources.vertex_oags],
         "hyperedge_oags": [_oag_meta(o) for o in resources.hyperedge_oags],
     }
@@ -136,7 +135,10 @@ def _unpack_side(npz, prefix: str, oag_metas: list[dict]) -> list[Oag]:
 
 def resources_from_bytes(payload: bytes) -> GlaResources:
     """Decode :func:`resources_to_bytes` output; raises
-    :class:`SerializationError` on any malformed or mismatched payload."""
+    :class:`SerializationError` on any malformed or mismatched payload.
+
+    Payloads from older builds also carry a ``fast`` meta flag, which is
+    ignored: it never changed the artifact's bytes."""
     try:
         npz = np.load(io.BytesIO(payload), allow_pickle=False)
         meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
@@ -157,7 +159,6 @@ def resources_from_bytes(payload: bytes) -> GlaResources:
             hyperedge_oags=hyperedge_oags,
             build_seconds=meta["build_seconds"],
             build_operations=meta["build_operations"],
-            fast=meta["fast"],
         )
     except (KeyError, TypeError) as exc:
         raise SerializationError("malformed resources metadata") from exc

@@ -184,6 +184,32 @@ def test_bench_profile_summary(capsys, tmp_path):
     assert "mean density" in out
 
 
+@pytest.mark.parametrize(
+    "flag, writes, results",
+    [(None, 4, 3), ("--profile", 4, 3), ("--check", 1, 0)],
+)
+def test_bench_instrumentation_simulates_each_run_once(
+    capsys, tmp_path, monkeypatch, flag, writes, results
+):
+    """fig02 is three runs plus one resources artifact.  The figure body
+    must reuse the instrumented runs the batch executed instead of
+    re-simulating uninstrumented ones (which wrote three extra results
+    under ``--profile`` and ``--check``); checked runs never write."""
+    from repro.harness.datasets import hypergraph_dataset
+    from repro.store import ArtifactStore
+
+    small = hypergraph_dataset("FS", scale=0.15)
+    monkeypatch.setattr(
+        "repro.harness.runner.hypergraph_dataset", lambda key: small
+    )
+    argv = ["bench", "--figures", "fig02", "--jobs", "1",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv + ([flag] if flag else [])) == 0
+    assert f" {writes} writes" in capsys.readouterr().out
+    kinds = [entry.kind for entry in ArtifactStore(tmp_path).ls()]
+    assert kinds.count("results") == results
+
+
 def test_check_command_clean(capsys):
     code = main([
         "check", "--graphs", "1", "--engines", "Hygra,GLA,ChGraph",

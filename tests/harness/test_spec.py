@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -98,6 +100,38 @@ class TestJson:
         with pytest.raises(ConfigurationError, match="warp-speed"):
             RunSpec.from_json(payload)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"check": "false"},
+            {"profile": 1},
+            {"pr_iterations": 2.9},
+            {"pr_iterations": True},
+            {"pr_iterations": "2"},
+            {"engine": 7},
+            {"config": {"name": "x", "num_cores": 4.0}},
+            {"config": {"name": "x", "inclusive_l3": 0}},
+            {"preprocessing": {"w_min": 2.5}},
+            {"preprocessing": {"d_max": "7"}},
+            {"preprocessing": {"d_max": True}},
+        ],
+    )
+    def test_wrong_json_types_rejected_not_coerced(self, fields):
+        base = {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS"}
+        with pytest.raises(ConfigurationError, match="must be"):
+            RunSpec.from_json({**base, **fields})
+
+    def test_missing_name_rejected(self):
+        with pytest.raises(ConfigurationError, match="missing 'dataset'"):
+            RunSpec.from_json({"engine": "Hygra", "algorithm": "BFS"})
+
+    def test_integral_float_config_fields_stay_floats(self):
+        spec = RunSpec.from_json(
+            {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS",
+             "config": {"name": "x", "mlp": 3}}
+        )
+        assert spec.config.mlp == 3.0 and isinstance(spec.config.mlp, float)
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigurationError, match="config"):
             RunSpec.from_json(
@@ -133,17 +167,20 @@ class TestGoldenKeys:
         assert run_result_key(a, hash_) == run_result_key(b, hash_)
 
 
-class TestRunnerShim:
-    def test_legacy_positional_form_still_runs(self):
-        from repro.harness.runner import Runner
-
-        runner = Runner(pr_iterations=1, cache_dir=None)
-        legacy = runner.run("Hygra", "BFS", "FS")
-        spec = runner.run(RunSpec("Hygra", "BFS", "FS"))
-        assert legacy is spec  # one memo entry — the shim builds the spec
-
-    def test_incomplete_legacy_form_raises(self):
+class TestRunnerSignature:
+    def test_non_spec_argument_raises(self):
         from repro.harness.runner import Runner
 
         with pytest.raises(TypeError, match="RunSpec"):
-            Runner(cache_dir=None).run("Hygra", "BFS")
+            Runner(cache_dir=None).run("Hygra")
+
+    def test_runner_instrumentation_reaches_plain_specs(self):
+        """A profiling runner resolves a plain spec to the profiled memo
+        entry, so figure bodies reuse what the batch ran."""
+        from repro.harness.runner import Runner
+
+        runner = Runner(pr_iterations=1, cache_dir=None, profile=True)
+        spec = RunSpec("Hygra", "BFS", "FS", scaled_config(num_cores=4, llc_kb=2))
+        result = runner.run(spec)
+        assert result.telemetry is not None
+        assert runner.run(dataclasses.replace(spec, profile=True)) is result

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import JOB_STATES, JobRecord, JobRequest
 from tests.service.conftest import small_request
@@ -38,27 +40,93 @@ class TestJobRequestJson:
 
     def test_defaults_fill_in(self):
         request = JobRequest.from_json(
-            {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS"}
+            {"spec": {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS"}}
         )
         assert request.config().num_cores == 16
-        assert request.pr_iterations == 2
+        assert request.spec.pr_iterations == 2
         assert request.priority == 0
 
     @pytest.mark.parametrize(
         "obj, match",
         [
             ([], "JSON object"),
-            ({"engine": "Hygra", "algorithm": "BFS"}, "missing 'dataset'"),
+            ({"spec": {"engine": "Hygra", "algorithm": "BFS"}}, "missing 'dataset'"),
             (
-                {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS",
+                {"spec": {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS"},
                  "turbo": True},
                 "unknown job request field",
             ),
+            (
+                {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS"},
+                "unknown job request field",
+            ),
+            ({"priority": 1}, "needs a 'spec' object"),
         ],
     )
     def test_junk_rejected(self, obj, match):
         with pytest.raises(ValueError, match=match):
             JobRequest.from_json(obj)
+
+
+#: Arbitrary JSON values: what a client can put in any request field.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 50)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+#: Typed request fields: (where the value goes, its kind, minimum int).
+TYPED_FIELDS = {
+    "profile": (("spec", "profile"), bool, None),
+    "check": (("spec", "check"), bool, None),
+    "pr_iterations": (("spec", "pr_iterations"), int, 1),
+    "w_min": (("spec", "preprocessing", "w_min"), int, 1),
+    "d_max": (("spec", "preprocessing", "d_max"), int, 1),
+    "num_cores": (("spec", "config", "num_cores"), int, 1),
+    "priority": (("priority",), int, None),
+}
+
+
+@given(field=st.sampled_from(sorted(TYPED_FIELDS)), value=JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_from_json_accepts_exactly_the_well_typed_values(field, value):
+    """Typed fields are validated, never coerced: a value is accepted iff
+    it already has the field's JSON type (``true`` is not an int, ``1`` is
+    not a bool), and then it arrives unchanged."""
+    path, kind, minimum = TYPED_FIELDS[field]
+    obj = {"spec": {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS",
+                    "preprocessing": {}, "config": {"name": "prop"}}}
+    target = obj
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    if field == "pr_iterations" and value is None:
+        # An explicit null means "the default", as in ``RunSpec.to_json``.
+        assert JobRequest.from_json(obj).spec.pr_iterations == 2
+        return
+    if kind is bool:
+        accepted = isinstance(value, bool)
+    else:
+        accepted = type(value) is int and (minimum is None or value >= minimum)
+    if not accepted:
+        with pytest.raises(ValueError):
+            JobRequest.from_json(obj)
+        return
+    request = JobRequest.from_json(obj)
+    got = {
+        "profile": request.spec.profile, "check": request.spec.check,
+        "pr_iterations": request.spec.pr_iterations,
+        "w_min": request.spec.preprocessing.w_min,
+        "d_max": request.spec.preprocessing.d_max,
+        "num_cores": request.config().num_cores,
+        "priority": request.priority,
+    }[field]
+    assert type(got) is type(value)
+    if field != "profile":  # check=True also turns profiling on
+        assert got == value
+    assert JobRequest.from_json(request.to_json()) == request
 
 
 class TestStoreKey:

@@ -56,10 +56,7 @@ class TestStoreFastPath:
 
         from repro.harness.runner import Runner
 
-        result = Runner(pr_iterations=request.pr_iterations).run(
-            request.engine, request.algorithm, request.dataset,
-            request.config(),
-        )
+        result = Runner().run(request.spec)
         from repro.store.serialize import run_result_to_json
 
         payload = run_result_to_json(result)
@@ -119,7 +116,7 @@ class TestGrouping:
         # FS/BFS and FS/CC share GlaResources; WP is its own group.
         # Largest group first (the LPT-style ordering).
         assert [len(group) for group in groups] == [2, 1]
-        assert {r.request.dataset for r in groups[0]} == {"FS"}
+        assert {r.request.spec.dataset for r in groups[0]} == {"FS"}
 
 
 class TestRetrySettlement:

@@ -119,9 +119,16 @@ class TestErrorMapping:
     @pytest.mark.parametrize(
         "method, path, payload",
         [
-            ("POST", "/jobs", {"engine": "NoSuchEngine", "algorithm": "BFS",
-                               "dataset": "FS"}),
+            ("POST", "/jobs", {"spec": {"engine": "NoSuchEngine",
+                                        "algorithm": "BFS", "dataset": "FS"}}),
             ("POST", "/jobs", {"bogus": 1}),
+            # The pre-RunSpec flat wire form is gone.
+            ("POST", "/jobs", {"engine": "Hygra", "algorithm": "BFS",
+                               "dataset": "FS"}),
+            # Wire values are validated, never coerced.
+            ("POST", "/jobs", {"spec": {"engine": "Hygra", "algorithm": "BFS",
+                                        "dataset": "FS", "check": "false",
+                                        "pr_iterations": 2.9}}),
         ],
     )
     def test_bad_request_maps_to_400(self, make_service, method, path, payload):

@@ -8,14 +8,17 @@ import numpy as np
 from repro.engine import GlaResources
 from repro.harness.datasets import clear_dataset_cache, hypergraph_dataset
 from repro.harness.runner import Runner
+from repro.hypergraph.pipeline import PreprocessSpec
 from repro.sim.config import scaled_config
 from repro.store import ArtifactStore, PrewarmJob, prewarm, prewarm_jobs
+from repro.harness.spec import RunSpec
 
 
 def test_prewarm_jobs_cross_product():
-    jobs = prewarm_jobs(["WEB", "FS"], [4, 8], w_min=5)
+    sweep = PreprocessSpec(w_min=5)
+    jobs = prewarm_jobs(["WEB", "FS"], [4, 8], sweep)
     assert len(jobs) == 4
-    assert jobs[0] == PrewarmJob(dataset="WEB", num_cores=4, w_min=5)
+    assert jobs[0] == PrewarmJob(dataset="WEB", num_cores=4, preprocessing=sweep)
     assert {(j.dataset, j.num_cores) for j in jobs} == {
         ("WEB", 4), ("WEB", 8), ("FS", 4), ("FS", 8),
     }
@@ -79,7 +82,7 @@ def test_runner_memo_keys_on_full_parameter_tuple():
     (the old memo keyed only on (name, num_cores))."""
     hypergraph = hypergraph_dataset("WEB")
     config = scaled_config(num_cores=4)
-    narrow = Runner(w_min=30)
+    narrow = Runner(preprocessing=PreprocessSpec(w_min=30))
     default = Runner()
     wide = narrow.resources(hypergraph, config)
     base = default.resources(hypergraph, config)
@@ -92,11 +95,11 @@ def test_runner_memo_keys_on_full_parameter_tuple():
 def test_runner_persistent_cache_across_instances(tmp_path):
     cold = Runner(pr_iterations=1, cache_dir=tmp_path)
     config = scaled_config(num_cores=4, llc_kb=2)
-    first = cold.run("ChGraph", "BFS", "WEB", config)
+    first = cold.run(RunSpec("ChGraph", "BFS", "WEB", config))
     assert cold.store.stats.writes >= 2  # resources + run result
 
     warm = Runner(pr_iterations=1, cache_dir=tmp_path)
-    second = warm.run("ChGraph", "BFS", "WEB", config)
+    second = warm.run(RunSpec("ChGraph", "BFS", "WEB", config))
     assert warm.store.stats.hits >= 1
     assert warm.store.stats.writes == 0
     assert np.array_equal(first.result, second.result)

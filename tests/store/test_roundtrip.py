@@ -32,7 +32,6 @@ def _assert_identical(built: GlaResources, loaded: GlaResources) -> None:
     assert loaded.d_max == built.d_max
     assert loaded.build_operations == built.build_operations
     assert loaded.build_seconds == built.build_seconds
-    assert loaded.fast == built.fast
     assert loaded.storage_bytes() == built.storage_bytes()
     for a, b in zip(
         (*built.vertex_oags, *built.hyperedge_oags),
