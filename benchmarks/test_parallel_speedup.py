@@ -33,10 +33,7 @@ def _usable_cpus() -> int:
 
 
 def _render(runner: Runner, figure: str) -> str:
-    title, headers, rows = getattr(registry, {
-        "fig02": "fig02_memory_accesses",
-        "fig05": "fig05_memory_stalls",
-    }[figure])(runner)
+    title, headers, rows = registry.FIGURES[figure](runner)
     return render_table(headers, rows, title=title)
 
 

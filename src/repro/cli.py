@@ -87,30 +87,8 @@ ENGINES = engine_names()
 #: Algorithm choices come from the harness (the layer that builds them).
 ALGORITHMS = ALGORITHM_NAMES
 
-#: Experiment ids resolvable by the ``experiment`` command.
-EXPERIMENTS = {
-    "table1": lambda runner: registry.table1_rows(),
-    "table2": registry.table2_rows,
-    "fig02": registry.fig02_memory_accesses,
-    "fig03": registry.fig03_performance,
-    "fig05": registry.fig05_memory_stalls,
-    "fig07": registry.fig07_hats_v,
-    "fig08": registry.fig08_overlap,
-    "fig14": registry.fig14_performance,
-    "fig15": registry.fig15_breakdown,
-    "fig16": registry.fig16_hw_breakdown,
-    "fig17": registry.fig17_dmax_sweep,
-    "fig18": registry.fig18_wmin_sweep,
-    "fig19": registry.fig19_llc_sweep,
-    "fig20": registry.fig20_core_scaling,
-    "fig21": registry.fig21_preprocessing,
-    "fig22": registry.fig22_total_time,
-    "fig23": registry.fig23_prefetcher,
-    "fig24": registry.fig24_reordering,
-    "fig25": registry.fig25_graph_apps,
-    "vi_e": lambda runner: registry.vi_e_area_power(),
-    "summary": registry.headline_summary,
-}
+#: Experiment ids resolvable by the ``experiment`` command: the registry.
+EXPERIMENTS = registry.FIGURES
 
 
 def build_parser() -> argparse.ArgumentParser:

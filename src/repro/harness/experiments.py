@@ -1,16 +1,26 @@
-"""One function per paper table/figure: the reproduction registry.
+"""One declaration per paper table/figure: the reproduction registry.
 
-Each function returns ``(title, headers, rows)`` ready for
-:func:`repro.harness.report.render_table`.  Benchmarks print the table and
-assert the paper's qualitative shape; EXPERIMENTS.md records the measured
-numbers next to the paper's.
+A :class:`Figure` is a ``(matrix, reduce)`` pair.  ``matrix`` names every
+run the figure reads, once; ``reduce`` turns the spec→result map of that
+matrix into ``(title, headers, rows)`` ready for
+:func:`repro.harness.report.render_table`.  Calling a figure with a runner
+executes its matrix through ``runner.run`` (warm memo or store hits after
+a :meth:`~repro.harness.runner.Runner.run_many` prewarm) and reduces it.
+
+Each ``reduce`` walks its runs in matrix order, grouped by the spec fields
+that vary, and never re-lists specs — so a restricted matrix
+(``dataclasses.replace(figure, matrix=...)``) yields the matching smaller
+table.  Benchmarks print the tables and assert the paper's qualitative
+shape; EXPERIMENTS.md records the measured numbers next to the paper's.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import dataclasses
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 from repro.chgraph.area import area_report
+from repro.engine.result import RunResult
 from repro.harness.datasets import GRAPH_DATASETS
 from repro.harness.runner import PAPER_APPS, Runner
 from repro.harness.spec import RunSpec
@@ -21,7 +31,8 @@ from repro.hypergraph.stats import dataset_stats, overlap_curve
 from repro.sim.config import SystemConfig, scaled_config, table1_config
 
 __all__ = [
-    "RUN_MATRICES",
+    "FIGURES",
+    "Figure",
     "run_matrix",
     "table1_rows",
     "table2_rows",
@@ -42,6 +53,7 @@ __all__ = [
     "fig23_prefetcher",
     "fig24_reordering",
     "fig25_graph_apps",
+    "headline_summary",
     "vi_e_area_power",
 ]
 
@@ -58,8 +70,30 @@ OAG_OP_CYCLES = 0.5
 #: hand-building reordered engines outside the runner.
 REORDER_PREPROCESS = PreprocessSpec(stages=(StageSpec.make("locality-reorder"),))
 
+Table = tuple[str, list[str], list[list[object]]]
+Runs = Mapping[RunSpec, RunResult]
+K = TypeVar("K", bound=Hashable)
 
-# -- run matrices ------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Figure:
+    """One paper table/figure: the runs it reads and how they reduce."""
+
+    matrix: tuple[RunSpec, ...]
+    reduce: Callable[[Runner, Runs], Table]
+
+    def __call__(self, runner: Runner) -> Table:
+        # ``runner.run``, not ``run_many``: a figure rendered after a batch
+        # must leave the batch's ``last_execution_report`` in place.
+        return self.reduce(runner, {spec: runner.run(spec) for spec in self.matrix})
+
+
+def figure(
+    matrix: Iterable[RunSpec] = (),
+) -> Callable[[Callable[[Runner, Runs], Table]], Figure]:
+    """Decorate a reduce function into the :class:`Figure` over ``matrix``."""
+    specs = tuple(matrix)
+    return lambda reduce: Figure(specs, reduce)
 
 
 def _specs(
@@ -68,7 +102,7 @@ def _specs(
     datasets: tuple[str, ...],
     config: SystemConfig | None = None,
 ) -> list[RunSpec]:
-    """The cross product of engines × apps × datasets as run specs."""
+    """The cross product apps × datasets × engines (engines innermost)."""
     return [
         RunSpec(engine=e, algorithm=a, dataset=d, config=config)
         for a in apps
@@ -77,105 +111,35 @@ def _specs(
     ]
 
 
-def _fig17_specs(depths: tuple[int, ...] = (2, 4, 8, 16, 32, 64)) -> list[RunSpec]:
-    return [
-        RunSpec("ChGraph", "PR", "WEB", preprocessing=PreprocessSpec(d_max=d))
-        for d in depths
-    ]
+def _group(runs: Runs, key: Callable[[RunSpec], K]) -> dict[K, list[RunResult]]:
+    """``runs`` in matrix order, grouped by ``key`` of their spec."""
+    groups: dict[K, list[RunResult]] = {}
+    for spec, result in runs.items():
+        groups.setdefault(key(spec), []).append(result)
+    return groups
 
 
-def _fig18_specs(
-    thresholds: tuple[int, ...] = (1, 3, 9, 17, 33, 65),
-) -> list[RunSpec]:
-    return [
-        RunSpec("ChGraph", "PR", "WEB", preprocessing=PreprocessSpec(w_min=w))
-        for w in thresholds
-    ]
+def _app_dataset(spec: RunSpec) -> tuple[str, str]:
+    return spec.algorithm, spec.dataset
 
 
-def _fig24_specs() -> list[RunSpec]:
-    plain = _specs(("Hygra", "ChGraph"), ("PR",), ("WEB",))
-    return plain + [
-        RunSpec(spec.engine, "PR", "WEB", preprocessing=REORDER_PREPROCESS)
-        for spec in plain
-    ]
-
-
-def _fig19_specs() -> list[RunSpec]:
-    return [
-        RunSpec("ChGraph", "PR", "WEB", scaled_config(llc_kb=llc))
-        for llc in (2, 4, 6, 8)
-    ]
-
-
-def _fig20_specs() -> list[RunSpec]:
-    return [
-        spec
-        for n in (4, 8, 16)
-        for spec in _specs(
-            ("Hygra", "ChGraph"), ("PR",), ("WEB",), scaled_config(num_cores=n)
-        )
-    ]
-
-
-#: The ``runner.run`` matrix each figure consumes, declared up front so the
-#: sharded executor (:mod:`repro.harness.parallel`) can run a whole figure
-#: suite in parallel before the figure functions assemble their tables from
-#: warm cache hits.  Since every run — including the fig17/fig18 sensitivity
-#: sweeps and fig24's reordered engines — is now expressed as a
-#: :class:`~repro.harness.spec.RunSpec` with its own preprocessing record,
-#: every figure's full matrix is declared here; only config tables declare
-#: nothing.
-RUN_MATRICES = {
-    "fig02": lambda: _specs(("Hygra", "GLA", "ChGraph"), ("PR",), ("WEB",)),
-    "fig03": lambda: _specs(("Hygra", "GLA", "ChGraph"), ("PR",), ("WEB",)),
-    "fig05": lambda: _specs(("Hygra",), ("BFS", "PR", "BC", "CC"), PAPER_DATASETS),
-    "fig07": lambda: _specs(("HATS-V", "ChGraph"), ("BFS", "PR"), PAPER_DATASETS),
-    "fig14": lambda: _specs(("Hygra", "GLA", "ChGraph"), PAPER_APPS, PAPER_DATASETS),
-    "fig15": lambda: _specs(("Hygra", "ChGraph"), PAPER_APPS, PAPER_DATASETS),
-    "fig16": lambda: _specs(
-        ("GLA", "ChGraph-HCGonly", "ChGraph"), PAPER_APPS, ("WEB",)
-    ),
-    "fig17": _fig17_specs,
-    "fig18": _fig18_specs,
-    "fig19": _fig19_specs,
-    "fig20": _fig20_specs,
-    "fig22": lambda: _specs(("Hygra", "ChGraph"), ("BFS", "PR", "CC"), PAPER_DATASETS),
-    "fig23": lambda: _specs(
-        ("EventPrefetcher", "ChGraph", "Hygra"), ("BFS", "PR", "CC"), PAPER_DATASETS
-    ),
-    "fig24": _fig24_specs,
-    "fig25": lambda: _specs(
-        ("Ligra", "HATS-V", "ChGraph"), ("Adsorption", "SSSP"), GRAPH_DATASETS
-    ),
-    "summary": lambda: _specs(
-        ("Hygra", "ChGraph", "GLA"), ("BFS", "PR", "CC"), PAPER_DATASETS
-    ),
-}
+def _dataset(runs: Runs) -> str:
+    """The dataset of a single-dataset matrix (named in its title)."""
+    return next(iter(runs)).dataset
 
 
 def run_matrix(ids: Iterable[str]) -> list[RunSpec]:
-    """The deduplicated union run matrix of the given experiment ids.
-
-    Ids without a declared matrix (config tables, bespoke-resource sweeps)
-    contribute nothing; order follows first occurrence, so equal id lists
-    always produce the identical matrix — the shard planner relies on that
-    determinism.
-    """
-    specs: list[RunSpec] = []
-    for experiment_id in ids:
-        factory = RUN_MATRICES.get(experiment_id)
-        if factory is not None:
-            specs.extend(factory())
-    return list(dict.fromkeys(specs))
+    """The deduplicated union of the given figures' matrices, in order of
+    first occurrence (the shard planner relies on that determinism)."""
+    return list(dict.fromkeys(s for i in ids for s in FIGURES[i].matrix))
 
 
 # -- configuration tables ----------------------------------------------------
 
 
-def table1_rows() -> tuple[str, list[str], list[list[object]]]:
+def table1_rows() -> Table:
     config = table1_config()
-    rows = [
+    rows: list[list[object]] = [
         ["Cores", f"{config.num_cores} cores, x86-64, {config.frequency_ghz}GHz, OOO"],
         ["L1 caches", f"{config.l1_size // 1024}KB per-core, {config.l1_assoc}-way, "
                       f"{config.l1_latency}-cycle latency"],
@@ -193,8 +157,9 @@ def table1_rows() -> tuple[str, list[str], list[list[object]]]:
     return "Table I: simulated system configuration", ["Structure", "Configuration"], rows
 
 
-def table2_rows(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
-    rows = []
+@figure()
+def table2_rows(runner: Runner, runs: Runs) -> Table:
+    rows: list[list[object]] = []
     for key in PAPER_DATASETS:
         stats = dataset_stats(runner.dataset(key))
         rows.append([
@@ -214,12 +179,11 @@ def table2_rows(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
 # -- headline figures ------------------------------------------------------
 
 
-def fig02_memory_accesses(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(("Hygra", "GLA", "ChGraph"), ("PR",), ("WEB",)))
+def fig02_memory_accesses(runner: Runner, runs: Runs) -> Table:
     """GLA reduces main-memory accesses vs Hygra (PR on WEB)."""
-    hygra = runner.run(RunSpec("Hygra", "PR", "WEB"))
-    gla = runner.run(RunSpec("GLA", "PR", "WEB"))
-    chg = runner.run(RunSpec("ChGraph", "PR", "WEB"))
-    rows = [
+    hygra, gla, chg = runs.values()
+    rows: list[list[object]] = [
         ["Hygra", hygra.dram_accesses, 1.0],
         ["GLA", gla.dram_accesses, hygra.dram_accesses / gla.dram_accesses],
         ["ChGraph", chg.dram_accesses, hygra.dram_accesses / chg.dram_accesses],
@@ -231,12 +195,11 @@ def fig02_memory_accesses(runner: Runner) -> tuple[str, list[str], list[list[obj
     )
 
 
-def fig03_performance(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(("Hygra", "GLA", "ChGraph"), ("PR",), ("WEB",)))
+def fig03_performance(runner: Runner, runs: Runs) -> Table:
     """Software GLA is slower than Hygra; ChGraph reverses it (PR on WEB)."""
-    hygra = runner.run(RunSpec("Hygra", "PR", "WEB"))
-    gla = runner.run(RunSpec("GLA", "PR", "WEB"))
-    chg = runner.run(RunSpec("ChGraph", "PR", "WEB"))
-    rows = [
+    hygra, gla, chg = runs.values()
+    rows: list[list[object]] = [
         ["Hygra", hygra.cycles, 1.0],
         ["GLA", gla.cycles, gla.speedup_over(hygra)],
         ["ChGraph", chg.cycles, chg.speedup_over(hygra)],
@@ -248,34 +211,28 @@ def fig03_performance(runner: Runner) -> tuple[str, list[str], list[list[object]
     )
 
 
-def fig05_memory_stalls(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR", "BC", "CC")
-) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(("Hygra",), ("BFS", "PR", "BC", "CC"), PAPER_DATASETS))
+def fig05_memory_stalls(runner: Runner, runs: Runs) -> Table:
     """Fraction of Hygra execution time stalled on main memory."""
-    rows = []
-    for app in apps:
-        row: list[object] = [app]
-        for dataset in PAPER_DATASETS:
-            run = runner.run(RunSpec("Hygra", app, dataset))
-            row.append(run.memory_stall_fraction)
-        rows.append(row)
+    datasets = list(dict.fromkeys(spec.dataset for spec in runs))
+    rows: list[list[object]] = [
+        [app, *(run.memory_stall_fraction for run in app_runs)]
+        for app, app_runs in _group(runs, lambda s: s.algorithm).items()
+    ]
     return (
         "Figure 5: fraction of time stalled on memory (Hygra)",
-        ["App", *PAPER_DATASETS],
+        ["App", *datasets],
         rows,
     )
 
 
-def fig07_hats_v(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR")
-) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(("HATS-V", "ChGraph"), ("BFS", "PR"), PAPER_DATASETS))
+def fig07_hats_v(runner: Runner, runs: Runs) -> Table:
     """ChGraph vs the HATS-V variant, normalized to HATS-V."""
-    rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            hats = runner.run(RunSpec("HATS-V", app, dataset))
-            chg = runner.run(RunSpec("ChGraph", app, dataset))
-            rows.append([app, dataset, chg.speedup_over(hats)])
+    rows: list[list[object]] = [
+        [app, dataset, chg.speedup_over(hats)]
+        for (app, dataset), (hats, chg) in _group(runs, _app_dataset).items()
+    ]
     return (
         "Figure 7: ChGraph speedup over HATS-V",
         ["App", "Dataset", "ChGraph vs HATS-V"],
@@ -283,16 +240,16 @@ def fig07_hats_v(
     )
 
 
-def fig08_overlap(
-    runner: Runner, thresholds: tuple[int, ...] = (2, 8, 32, 64)
-) -> tuple[str, list[str], list[list[object]]]:
+@figure()
+def fig08_overlap(runner: Runner, runs: Runs) -> Table:
     """Sharable ratios of vertices and hyperedges (two panels in one table).
 
     The paper plots thresholds 2..7 for datasets with mean degrees 3-37; the
     scaled stand-ins keep paper-scale hyperedge degrees but higher vertex
     degrees, so the discriminating thresholds sit higher.
     """
-    rows = []
+    thresholds = (2, 8, 32, 64)
+    rows: list[list[object]] = []
     for side in ("vertex", "hyperedge"):
         for dataset in PAPER_DATASETS:
             curve = overlap_curve(runner.dataset(dataset), side, thresholds)
@@ -304,23 +261,19 @@ def fig08_overlap(
     )
 
 
-def fig14_performance(
-    runner: Runner, apps: tuple[str, ...] = PAPER_APPS
-) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(("Hygra", "GLA", "ChGraph"), PAPER_APPS, PAPER_DATASETS))
+def fig14_performance(runner: Runner, runs: Runs) -> Table:
     """Hygra vs software GLA vs ChGraph across apps and datasets."""
-    rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            hygra = runner.run(RunSpec("Hygra", app, dataset))
-            gla = runner.run(RunSpec("GLA", app, dataset))
-            chg = runner.run(RunSpec("ChGraph", app, dataset))
-            rows.append([
-                app,
-                dataset,
-                gla.speedup_over(hygra),
-                chg.speedup_over(hygra),
-                chg.dram_reduction_over(hygra),
-            ])
+    rows: list[list[object]] = [
+        [
+            app,
+            dataset,
+            gla.speedup_over(hygra),
+            chg.speedup_over(hygra),
+            chg.dram_reduction_over(hygra),
+        ]
+        for (app, dataset), (hygra, gla, chg) in _group(runs, _app_dataset).items()
+    ]
     return (
         "Figure 14: speedup over Hygra (GLA < 1 means slower)",
         ["App", "Dataset", "GLA", "ChGraph", "DRAM reduction"],
@@ -328,23 +281,18 @@ def fig14_performance(
     )
 
 
-def fig15_breakdown(
-    runner: Runner, apps: tuple[str, ...] = PAPER_APPS
-) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(("Hygra", "ChGraph"), PAPER_APPS, PAPER_DATASETS))
+def fig15_breakdown(runner: Runner, runs: Runs) -> Table:
     """Main-memory access breakdown by array group, Hygra (H) vs ChGraph (C)."""
     groups = ("offset", "incident", "value", "oag", "other")
-    rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            for name, run in (
-                ("H", runner.run(RunSpec("Hygra", app, dataset))),
-                ("C", runner.run(RunSpec("ChGraph", app, dataset))),
-            ):
-                breakdown = run.dram_by_group
-                rows.append([
-                    app, dataset, name, run.dram_accesses,
-                    *[breakdown[g] for g in groups],
-                ])
+    rows: list[list[object]] = []
+    for (app, dataset), (hygra, chg) in _group(runs, _app_dataset).items():
+        for name, run in (("H", hygra), ("C", chg)):
+            breakdown = run.dram_by_group
+            rows.append([
+                app, dataset, name, run.dram_accesses,
+                *[breakdown[g] for g in groups],
+            ])
     return (
         "Figure 15: DRAM access breakdown (H=Hygra, C=ChGraph)",
         ["App", "Dataset", "Sys", "Total", *groups],
@@ -352,25 +300,21 @@ def fig15_breakdown(
     )
 
 
-def fig16_hw_breakdown(
-    runner: Runner,
-    apps: tuple[str, ...] = PAPER_APPS,
-    dataset: str = "WEB",
-) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(("GLA", "ChGraph-HCGonly", "ChGraph"), PAPER_APPS, ("WEB",)))
+def fig16_hw_breakdown(runner: Runner, runs: Runs) -> Table:
     """Benefit breakdown of HCG and CP over the software GLA baseline."""
-    rows = []
-    for app in apps:
-        gla = runner.run(RunSpec("GLA", app, dataset))
-        hcg = runner.run(RunSpec("ChGraph-HCGonly", app, dataset))
-        full = runner.run(RunSpec("ChGraph", app, dataset))
-        rows.append([
+    rows: list[list[object]] = [
+        [
             app,
             hcg.speedup_over(gla),
             full.speedup_over(hcg),
             full.speedup_over(gla),
-        ])
+        ]
+        for app, (gla, hcg, full) in _group(runs, lambda s: s.algorithm).items()
+    ]
     return (
-        f"Figure 16: hardware benefit breakdown on {dataset} (vs software GLA)",
+        f"Figure 16: hardware benefit breakdown on {_dataset(runs)} "
+        "(vs software GLA)",
         ["App", "+HCG", "+CP (over HCG)", "Full ChGraph"],
         rows,
     )
@@ -379,32 +323,34 @@ def fig16_hw_breakdown(
 # -- sensitivity sweeps --------------------------------------------------------
 
 
-def fig17_dmax_sweep(
-    runner: Runner,
-    dataset: str = "WEB",
-    depths: tuple[int, ...] = (2, 4, 8, 16, 32, 64),
-) -> tuple[str, list[str], list[list[object]]]:
+def _sweep(runs: Runs, label: Callable[[RunSpec], object]) -> list[list[object]]:
+    """One ``[label, cycles, speedup vs the first run]`` row per run."""
+    base = next(iter(runs.values())).cycles
+    return [
+        [label(spec), run.cycles, base / run.cycles] for spec, run in runs.items()
+    ]
+
+
+@figure([
+    RunSpec("ChGraph", "PR", "WEB", preprocessing=PreprocessSpec(d_max=d))
+    for d in (2, 4, 8, 16, 32, 64)
+])
+def fig17_dmax_sweep(runner: Runner, runs: Runs) -> Table:
     """ChGraph PR performance vs maximum exploration depth D_max."""
-    runs = {
-        d: runner.run(
-            RunSpec("ChGraph", "PR", dataset, preprocessing=PreprocessSpec(d_max=d))
-        )
-        for d in depths
-    }
-    base = runs[depths[0]].cycles
-    rows = [[d, runs[d].cycles, base / runs[d].cycles] for d in depths]
+    rows = _sweep(runs, lambda s: s.resolved_preprocessing().d_max)
     return (
-        f"Figure 17: D_max sweep, PR on {dataset} (speedup vs D_max={depths[0]})",
+        f"Figure 17: D_max sweep, PR on {_dataset(runs)} "
+        f"(speedup vs D_max={rows[0][0]})",
         ["D_max", "Cycles", "Speedup", ""],
         with_bars(rows, 2),
     )
 
 
-def fig18_wmin_sweep(
-    runner: Runner,
-    dataset: str = "WEB",
-    thresholds: tuple[int, ...] = (1, 3, 9, 17, 33, 65),
-) -> tuple[str, list[str], list[list[object]]]:
+@figure([
+    RunSpec("ChGraph", "PR", "WEB", preprocessing=PreprocessSpec(w_min=w))
+    for w in (1, 3, 9, 17, 33, 65)
+])
+def fig18_wmin_sweep(runner: Runner, runs: Runs) -> Table:
     """ChGraph PR performance vs the OAG pruning threshold W_min.
 
     The paper sweeps 1..9 against datasets whose overlap weights are mostly
@@ -412,57 +358,44 @@ def fig18_wmin_sweep(
     so their weights sit near 20-45 and the decline appears at
     correspondingly larger thresholds — same shape, shifted axis.
     """
-    runs = {
-        w: runner.run(
-            RunSpec("ChGraph", "PR", dataset, preprocessing=PreprocessSpec(w_min=w))
-        )
-        for w in thresholds
-    }
-    base = runs[thresholds[0]].cycles
-    rows = [[w, runs[w].cycles, base / runs[w].cycles] for w in thresholds]
+    rows = _sweep(runs, lambda s: s.resolved_preprocessing().w_min)
     return (
-        f"Figure 18: W_min sweep, PR on {dataset} "
-        f"(performance vs W_min={thresholds[0]})",
+        f"Figure 18: W_min sweep, PR on {_dataset(runs)} "
+        f"(performance vs W_min={rows[0][0]})",
         ["W_min", "Cycles", "Relative performance", ""],
         with_bars(rows, 2),
     )
 
 
-def fig19_llc_sweep(
-    runner: Runner,
-    dataset: str = "WEB",
-    llc_kbs: tuple[int, ...] = (2, 4, 6, 8),
-) -> tuple[str, list[str], list[list[object]]]:
+@figure([
+    RunSpec("ChGraph", "PR", "WEB", scaled_config(llc_kb=llc)) for llc in (2, 4, 6, 8)
+])
+def fig19_llc_sweep(runner: Runner, runs: Runs) -> Table:
     """ChGraph PR on WEB vs LLC size (paper: 8-32 MB; scaled: 2-8 KB)."""
-    rows = []
-    base_cycles = None
-    for llc in llc_kbs:
-        config = scaled_config(llc_kb=llc)
-        run = runner.run(RunSpec("ChGraph", "PR", dataset, config))
-        if base_cycles is None:
-            base_cycles = run.cycles
-        rows.append([f"{llc}KB", run.cycles, base_cycles / run.cycles])
+    rows = _sweep(runs, lambda s: f"{s.resolved_config().l3_size // 1024}KB")
     return (
-        f"Figure 19: LLC size sweep, ChGraph PR on {dataset}",
+        f"Figure 19: LLC size sweep, ChGraph PR on {_dataset(runs)}",
         ["LLC", "Cycles", "Speedup vs smallest", ""],
         with_bars(rows, 2),
     )
 
 
-def fig20_core_scaling(
-    runner: Runner,
-    dataset: str = "WEB",
-    cores: tuple[int, ...] = (4, 8, 16),
-) -> tuple[str, list[str], list[list[object]]]:
+@figure([
+    spec
+    for n in (4, 8, 16)
+    for spec in _specs(
+        ("Hygra", "ChGraph"), ("PR",), ("WEB",), scaled_config(num_cores=n)
+    )
+])
+def fig20_core_scaling(runner: Runner, runs: Runs) -> Table:
     """PR scaling with core count, ChGraph vs Hygra."""
-    rows = []
-    for n in cores:
-        config = scaled_config(num_cores=n)
-        hygra = runner.run(RunSpec("Hygra", "PR", dataset, config))
-        chg = runner.run(RunSpec("ChGraph", "PR", dataset, config))
-        rows.append([n, hygra.cycles, chg.cycles, chg.speedup_over(hygra)])
+    by_cores = _group(runs, lambda s: s.resolved_config().num_cores)
+    rows: list[list[object]] = [
+        [n, hygra.cycles, chg.cycles, chg.speedup_over(hygra)]
+        for n, (hygra, chg) in by_cores.items()
+    ]
     return (
-        f"Figure 20: core-count scaling, PR on {dataset}",
+        f"Figure 20: core-count scaling, PR on {_dataset(runs)}",
         ["Cores", "Hygra cycles", "ChGraph cycles", "Speedup"],
         rows,
     )
@@ -487,9 +420,10 @@ def _preprocess_costs(runner: Runner, dataset_key: str) -> tuple[float, float, i
     return hygra_cycles, oag_cycles, resources.storage_bytes()
 
 
-def fig21_preprocessing(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
+@figure()
+def fig21_preprocessing(runner: Runner, runs: Runs) -> Table:
     """Extra preprocessing time and storage of ChGraph over Hygra."""
-    rows = []
+    rows: list[list[object]] = []
     for dataset in PAPER_DATASETS:
         hygra_cycles, oag_cycles, oag_bytes = _preprocess_costs(runner, dataset)
         hypergraph = runner.dataset(dataset)
@@ -505,19 +439,15 @@ def fig21_preprocessing(runner: Runner) -> tuple[str, list[str], list[list[objec
     )
 
 
-def fig22_total_time(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR", "CC")
-) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(("Hygra", "ChGraph"), ("BFS", "PR", "CC"), PAPER_DATASETS))
+def fig22_total_time(runner: Runner, runs: Runs) -> Table:
     """Total running time including preprocessing, normalized to Hygra."""
-    rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            hygra_pre, oag_pre, _ = _preprocess_costs(runner, dataset)
-            hygra = runner.run(RunSpec("Hygra", app, dataset))
-            chg = runner.run(RunSpec("ChGraph", app, dataset))
-            total_hygra = hygra.cycles + hygra_pre
-            total_chg = chg.cycles + hygra_pre + oag_pre
-            rows.append([app, dataset, total_hygra / total_chg])
+    rows: list[list[object]] = []
+    for (app, dataset), (hygra, chg) in _group(runs, _app_dataset).items():
+        hygra_pre, oag_pre, _ = _preprocess_costs(runner, dataset)
+        total_hygra = hygra.cycles + hygra_pre
+        total_chg = chg.cycles + hygra_pre + oag_pre
+        rows.append([app, dataset, total_hygra / total_chg])
     return (
         "Figure 22: total time (incl. preprocessing) speedup over Hygra",
         ["App", "Dataset", "ChGraph speedup"],
@@ -528,22 +458,15 @@ def fig22_total_time(
 # -- alternatives -----------------------------------------------------------
 
 
-def fig23_prefetcher(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR", "CC")
-) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(
+    ("EventPrefetcher", "ChGraph", "Hygra"), ("BFS", "PR", "CC"), PAPER_DATASETS
+))
+def fig23_prefetcher(runner: Runner, runs: Runs) -> Table:
     """ChGraph vs the event-driven hardware prefetcher."""
-    rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            pref = runner.run(RunSpec("EventPrefetcher", app, dataset))
-            chg = runner.run(RunSpec("ChGraph", app, dataset))
-            hygra = runner.run(RunSpec("Hygra", app, dataset))
-            rows.append([
-                app,
-                dataset,
-                pref.speedup_over(hygra),
-                chg.speedup_over(pref),
-            ])
+    rows: list[list[object]] = [
+        [app, dataset, pref.speedup_over(hygra), chg.speedup_over(pref)]
+        for (app, dataset), (pref, chg, hygra) in _group(runs, _app_dataset).items()
+    ]
     return (
         "Figure 23: vs event-driven prefetcher",
         ["App", "Dataset", "Prefetcher vs Hygra", "ChGraph vs Prefetcher"],
@@ -551,9 +474,12 @@ def fig23_prefetcher(
     )
 
 
-def fig24_reordering(
-    runner: Runner, dataset: str = "WEB"
-) -> tuple[str, list[str], list[list[object]]]:
+@figure([
+    RunSpec(engine, "PR", "WEB", preprocessing=preprocessing)
+    for preprocessing in (None, REORDER_PREPROCESS)
+    for engine in ("Hygra", "ChGraph")
+])
+def fig24_reordering(runner: Runner, runs: Runs) -> Table:
     """Spatial reordering does not beat chain scheduling (PR).
 
     The reordered systems are ordinary runs whose spec carries the
@@ -561,18 +487,12 @@ def fig24_reordering(
     runner's memoized pipeline result, so the comparison charges exactly
     the preprocessing work the runs actually performed.
     """
+    dataset = _dataset(runs)
     pipeline = runner.pipeline(runner.dataset(dataset), REORDER_PREPROCESS)
     reorder_cycles = pipeline.cost_accesses * PREPROCESS_OP_CYCLES
 
-    hygra = runner.run(RunSpec("Hygra", "PR", dataset))
-    chg = runner.run(RunSpec("ChGraph", "PR", dataset))
-    hygra_re = runner.run(
-        RunSpec("Hygra", "PR", dataset, preprocessing=REORDER_PREPROCESS)
-    )
-    chg_re = runner.run(
-        RunSpec("ChGraph", "PR", dataset, preprocessing=REORDER_PREPROCESS)
-    )
-    rows = [
+    hygra, chg, hygra_re, chg_re = runs.values()
+    rows: list[list[object]] = [
         ["Hygra", hygra.cycles, 1.0],
         ["Hygra+Reorder", hygra_re.cycles + reorder_cycles,
          hygra.cycles / (hygra_re.cycles + reorder_cycles)],
@@ -587,20 +507,15 @@ def fig24_reordering(
     )
 
 
-def fig25_graph_apps(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(
+    ("Ligra", "HATS-V", "ChGraph"), ("Adsorption", "SSSP"), GRAPH_DATASETS
+))
+def fig25_graph_apps(runner: Runner, runs: Runs) -> Table:
     """Ordinary-graph apps: ChGraph vs Ligra and HATS (§VI-I)."""
-    rows = []
-    for app in ("Adsorption", "SSSP"):
-        for dataset in GRAPH_DATASETS:
-            ligra = runner.run(RunSpec("Ligra", app, dataset))
-            hats = runner.run(RunSpec("HATS-V", app, dataset))
-            chg = runner.run(RunSpec("ChGraph", app, dataset))
-            rows.append([
-                app,
-                dataset,
-                chg.speedup_over(ligra),
-                chg.speedup_over(hats),
-            ])
+    rows: list[list[object]] = [
+        [app, dataset, chg.speedup_over(ligra), chg.speedup_over(hats)]
+        for (app, dataset), (ligra, hats, chg) in _group(runs, _app_dataset).items()
+    ]
     return (
         "Figure 25: graph applications (speedups of ChGraph)",
         ["App", "Graph", "vs Ligra", "vs HATS"],
@@ -608,22 +523,21 @@ def fig25_graph_apps(runner: Runner) -> tuple[str, list[str], list[list[object]]
     )
 
 
-def headline_summary(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR", "CC")
-) -> tuple[str, list[str], list[list[object]]]:
+@figure(_specs(
+    ("Hygra", "ChGraph", "GLA"), ("BFS", "PR", "CC"), PAPER_DATASETS
+))
+def headline_summary(runner: Runner, runs: Runs) -> Table:
     """The abstract's claims, condensed: per-app speedup and DRAM reduction."""
-    rows = []
-    for app in apps:
-        speedups = []
-        reductions = []
-        gla = []
-        for dataset in PAPER_DATASETS:
-            hygra = runner.run(RunSpec("Hygra", app, dataset))
-            chg = runner.run(RunSpec("ChGraph", app, dataset))
-            soft = runner.run(RunSpec("GLA", app, dataset))
-            speedups.append(chg.speedup_over(hygra))
-            reductions.append(chg.dram_reduction_over(hygra))
-            gla.append(soft.speedup_over(hygra))
+    per_app: dict[str, list[tuple[float, float, float]]] = {}
+    for (app, _), (hygra, chg, soft) in _group(runs, _app_dataset).items():
+        per_app.setdefault(app, []).append((
+            chg.speedup_over(hygra),
+            chg.dram_reduction_over(hygra),
+            soft.speedup_over(hygra),
+        ))
+    rows: list[list[object]] = []
+    for app, per_dataset in per_app.items():
+        speedups, reductions, gla = zip(*per_dataset)
         rows.append([
             app,
             min(speedups), max(speedups),
@@ -637,10 +551,10 @@ def headline_summary(
     )
 
 
-def vi_e_area_power() -> tuple[str, list[str], list[list[object]]]:
+def vi_e_area_power() -> Table:
     """The §VI-E area/power/storage accounting."""
     report = area_report()
-    rows = [
+    rows: list[list[object]] = [
         ["Stack storage", f"{report.stack_bytes} B"],
         ["Chain FIFO storage", f"{report.chain_fifo_bytes} B"],
         ["Bipartite-edge FIFO storage", f"{report.tuple_fifo_bytes} B"],
@@ -651,3 +565,29 @@ def vi_e_area_power() -> tuple[str, list[str], list[list[object]]]:
         ["Power vs core TDP", f"{report.power_fraction_of_core:.2%}"],
     ]
     return "Section VI-E: ChGraph area and power", ["Quantity", "Value"], rows
+
+
+#: Every reproduced table/figure by experiment id, in presentation order.
+FIGURES: dict[str, Figure] = {
+    "table1": Figure((), lambda runner, runs: table1_rows()),
+    "table2": table2_rows,
+    "fig02": fig02_memory_accesses,
+    "fig03": fig03_performance,
+    "fig05": fig05_memory_stalls,
+    "fig07": fig07_hats_v,
+    "fig08": fig08_overlap,
+    "fig14": fig14_performance,
+    "fig15": fig15_breakdown,
+    "fig16": fig16_hw_breakdown,
+    "fig17": fig17_dmax_sweep,
+    "fig18": fig18_wmin_sweep,
+    "fig19": fig19_llc_sweep,
+    "fig20": fig20_core_scaling,
+    "fig21": fig21_preprocessing,
+    "fig22": fig22_total_time,
+    "fig23": fig23_prefetcher,
+    "fig24": fig24_reordering,
+    "fig25": fig25_graph_apps,
+    "vi_e": Figure((), lambda runner, runs: vi_e_area_power()),
+    "summary": headline_summary,
+}

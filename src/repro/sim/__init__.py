@@ -20,7 +20,6 @@ from repro.sim.telemetry import (
     PhaseSample,
     RunTelemetry,
 )
-from repro.sim.trace import TracingSystem
 
 __all__ = [
     "ArrayId",
@@ -40,7 +39,6 @@ __all__ = [
     "SimulatedSystem",
     "SystemConfig",
     "TraceObserver",
-    "TracingSystem",
     "instrument",
     "profile_stream",
     "scaled_config",

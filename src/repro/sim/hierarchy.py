@@ -150,42 +150,7 @@ class MemoryHierarchy:
     # choice, same stats bumps, same dirty-bit handling, three calls fewer
     # on every miss.  They are only ever called with ``line`` absent (the
     # caller just took the miss; back-invalidation can only *remove* lines).
-
-    def _fill_l1(self, core: int, line: int, dirty: bool) -> None:
-        """Fill the core's L1; a dirty victim is absorbed by the copy in
-        L2, else L3, else written back to memory directly."""
-        l1 = self.l1[core]
-        ways = l1._sets[line % l1.num_sets]
-        dirty_lines = l1._dirty
-        victim = None
-        victim_dirty = False
-        if len(ways) >= l1.associativity:
-            victim = next(iter(ways))
-            del ways[victim]
-            l1.stats.evictions += 1
-            if victim in dirty_lines:
-                dirty_lines.discard(victim)
-                l1.stats.writebacks += 1
-                victim_dirty = True
-        ways[line] = None
-        if dirty:
-            dirty_lines.add(line)
-        if victim is None:
-            return
-        if victim_dirty:
-            # Inline mark_dirty: absorb the writeback at the first level
-            # still holding the victim, else retire it to memory.
-            l2 = self.l2[core]
-            if victim in l2._sets[victim % l2.num_sets]:
-                l2._dirty.add(victim)
-            else:
-                l3 = self.l3
-                if victim in l3._sets[victim % l3.num_sets]:
-                    l3._dirty.add(victim)
-                else:
-                    self._writeback_to_dram(victim)
-        if self._inclusive:
-            self._prune_owner(victim, core)
+    # The L1 has a single fill site, the tail of :meth:`_demand_miss`.
 
     def _fill_l2(self, core: int, line: int) -> None:
         """Fill the core's L2; a dirty victim is absorbed by the L3 copy or
@@ -277,9 +242,11 @@ class MemoryHierarchy:
     def _demand_miss(self, core: int, array: ArrayId, line: int, write: bool) -> int:
         """The demand path past an L1 miss (shared with the fast closures).
 
-        The trailing L1 fill is :meth:`_fill_l1` spelled inline — this runs
-        once per L1 miss, the hottest fill site, and the call overhead is
-        measurable.  Any change here must mirror ``_fill_l1`` exactly.
+        Its tail is the hierarchy's only L1 fill: the LRU victim leaves,
+        and a dirty victim is absorbed by the copy in L2, else L3, else
+        written back to memory directly.  Every demand miss — through
+        :meth:`access`, :meth:`access_block` or the prober closures — ends
+        here, which is what the batching proof below relies on.
         """
         latency = self._l1_latency + self._l2_latency
         l2 = self.l2[core]
@@ -571,14 +538,14 @@ class MemoryHierarchy:
     # Why batching is *bit-identical* to the per-element loop it replaces:
     # after ``access(core, array, index)`` returns, the touched line is
     # resident (and MRU) in the core's L1 — the hit path promotes it, and
-    # every miss path ends in ``_fill_l1``.  A subsequent access to another
-    # element of the *same line* therefore always takes the L1-hit path:
-    # it bumps ``demand_probes`` and ``l1.stats.hits``, costs exactly
-    # ``l1_latency``, promotes an already-MRU line (a no-op on LRU order),
-    # re-marks an already-dirty line on writes (a no-op on state), and its
-    # coherence call returns without transitions or stats (``on_read`` with
-    # the core already a sharer; ``on_write`` with the core already the sole
-    # M owner).  So the successors can be charged arithmetically.  The same
+    # every miss path ends in the L1 fill at the tail of ``_demand_miss``.
+    # A subsequent access to another element of the *same line* therefore
+    # always takes the L1-hit path: it bumps ``demand_probes`` and
+    # ``l1.stats.hits``, costs exactly ``l1_latency``, promotes an
+    # already-MRU line (a no-op on LRU order), re-marks an already-dirty
+    # line on writes (a no-op on state), and its coherence call returns
+    # without transitions or stats (``on_read`` with the core already a
+    # sharer; ``on_write`` with the core already the sole M owner).  So the successors can be charged arithmetically.  The same
     # argument holds for :meth:`engine_access` with L2 in place of L1 —
     # and there the L2-hit path performs no coherence call at all.
 
@@ -654,16 +621,6 @@ class MemoryHierarchy:
                 total += extra * l2_latency
             index = boundary
         return total
-
-    def touch_sequential(
-        self, core: int, array: ArrayId, start: int, count: int, write: bool = False
-    ) -> int:
-        """Access ``count`` consecutive elements; returns total latency.
-
-        Alias for :meth:`access_block`, kept for readability at call sites
-        that walk an array once rather than batching a known-width field.
-        """
-        return self.access_block(core, array, start, count, write=write)
 
     # -- statistics -----------------------------------------------------------
 

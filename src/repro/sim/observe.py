@@ -14,10 +14,10 @@ Built-in observers:
   cycles, raw demand latency, access counts by kind, DRAM-by-array deltas;
 - :class:`IterationTimeline` — one record per iteration: the driving
   frontier's size and density, the phase's cycles and DRAM accesses;
-- :class:`TraceObserver` — appends every demand access to a
-  :class:`~repro.sim.trace.TraceEvent` list (the trace hook; engine-side
-  reads issued directly against the hierarchy bypass it, as they do for
-  :class:`~repro.sim.trace.TracingSystem`).
+- :class:`TraceObserver` — appends every access charged through the
+  facade to a :class:`~repro.sim.trace.TraceEvent` list, one event per
+  element (the trace hook; engine-side reads issued directly against the
+  hierarchy bypass it).
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Memory-trace recording and replay.
+"""Memory-trace events, files and replay.
 
-Wraps a :class:`~repro.sim.system.SimulatedSystem` so every demand and
-engine access an engine issues is appended to an in-memory trace (and
-optionally streamed to a file as ``kind core array index`` lines).  Traces
-decouple *what a scheduler accesses* from *what a hierarchy does with it*:
-record once, then replay the same stream through differently-sized
-hierarchies, or feed it to :mod:`repro.sim.reuse` for stack-distance
-analysis.
+A trace is the per-element access stream an engine charges through the
+system facade, recorded by attaching a
+:class:`~repro.sim.observe.TraceObserver` to an
+:class:`~repro.sim.observe.InstrumentedSystem`.  Traces decouple *what a
+scheduler accesses* from *what a hierarchy does with it*: record once,
+then replay the same stream through differently-sized hierarchies, or
+feed it to :mod:`repro.sim.reuse` for stack-distance analysis.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from typing import Iterable
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.layout import ArrayId
 from repro.sim.config import SystemConfig
-from repro.sim.system import SimulatedSystem
 
-__all__ = ["TraceEvent", "TracingSystem", "replay", "save_trace", "load_trace"]
+__all__ = ["TraceEvent", "replay", "save_trace", "load_trace"]
 
 #: Event kinds, matching the charging channel the access used.
 KINDS = ("read", "write", "serial", "engine")
@@ -34,72 +33,6 @@ class TraceEvent:
     core: int
     array: ArrayId
     index: int
-
-
-class TracingSystem(SimulatedSystem):
-    """A SimulatedSystem that records every access it simulates.
-
-    Conforms to :class:`~repro.sim.protocol.MemorySystem` by inheritance;
-    for recording on top of an *arbitrary* conforming system (including
-    :class:`~repro.sim.null.NullSystem`), attach a
-    :class:`~repro.sim.observe.TraceObserver` to an
-    :class:`~repro.sim.observe.InstrumentedSystem` instead.
-    """
-
-    def __init__(self, config: SystemConfig) -> None:
-        super().__init__(config)
-        self.trace: list[TraceEvent] = []
-
-    def read(self, core: int, array: ArrayId, index: int) -> int:
-        self.trace.append(TraceEvent("read", core, array, index))
-        return super().read(core, array, index)
-
-    def write(self, core: int, array: ArrayId, index: int) -> int:
-        self.trace.append(TraceEvent("write", core, array, index))
-        return super().write(core, array, index)
-
-    def read_serial(self, core: int, array: ArrayId, index: int) -> int:
-        self.trace.append(TraceEvent("serial", core, array, index))
-        return super().read_serial(core, array, index)
-
-    def engine_read(self, core: int, array: ArrayId, index: int) -> int:
-        self.trace.append(TraceEvent("engine", core, array, index))
-        return super().engine_read(core, array, index)
-
-    # Batched accesses record one event per *element* so a recorded trace is
-    # independent of whether the engine used the batched or per-element API
-    # (replaying a per-element stream through a hierarchy is bit-identical
-    # to the batched walk — that is the batching contract).
-
-    def read_block(self, core: int, array: ArrayId, start: int, count: int) -> int:
-        append = self.trace.append
-        for index in range(start, start + count):
-            append(TraceEvent("read", core, array, index))
-        return super().read_block(core, array, start, count)
-
-    def write_block(self, core: int, array: ArrayId, start: int, count: int) -> int:
-        append = self.trace.append
-        for index in range(start, start + count):
-            append(TraceEvent("write", core, array, index))
-        return super().write_block(core, array, start, count)
-
-    # read_serial_block needs no override: the base implementation loops
-    # over ``self.read_serial`` (it must — serial reads charge the compute
-    # accumulator per element), which dispatches to the recording override.
-
-    def demand_writer(self, core: int, array: ArrayId):
-        # The base class's fast closure would bypass recording; route each
-        # write through the overridden ``write`` instead.
-        def write_one(index: int) -> int:
-            return self.write(core, array, index)
-
-        return write_one
-
-
-# The ChGraph engine reaches the hierarchy directly (hierarchy.engine_access)
-# rather than through the system facade, so tracing is complete for the
-# demand-path engines (Hygra / software GLA / event prefetcher); the
-# chain-driven prefetch stream can be reconstructed from the schedule.
 
 
 def replay(

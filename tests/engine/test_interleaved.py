@@ -16,8 +16,8 @@ from repro.algorithms import Bfs, ConnectedComponents, PageRank
 from repro.engine import HygraEngine
 from repro.engine.interleaved import InterleavedHygraEngine
 from repro.sim.config import scaled_config
+from repro.sim.observe import InstrumentedSystem, TraceObserver
 from repro.sim.system import SimulatedSystem
-from repro.sim.trace import TracingSystem
 
 
 def make_system() -> SimulatedSystem:
@@ -60,14 +60,16 @@ def test_interleaving_permutes_but_preserves_the_access_stream(
     small_hypergraph,
 ):
     """Same accesses as a multiset, different order."""
-    serial_system = TracingSystem(scaled_config(num_cores=4, llc_kb=2))
+    serial_system = InstrumentedSystem(make_system(), [TraceObserver()])
     HygraEngine().run(PageRank(iterations=2), small_hypergraph, serial_system)
-    inter_system = TracingSystem(scaled_config(num_cores=4, llc_kb=2))
+    inter_system = InstrumentedSystem(make_system(), [TraceObserver()])
     InterleavedHygraEngine().run(
         PageRank(iterations=2), small_hypergraph, inter_system
     )
-    assert inter_system.trace != serial_system.trace
-    assert Counter(inter_system.trace) == Counter(serial_system.trace)
+    serial_trace = serial_system.observer(TraceObserver).trace
+    inter_trace = inter_system.observer(TraceObserver).trace
+    assert inter_trace != serial_trace
+    assert Counter(inter_trace) == Counter(serial_trace)
     # The stream order does change what the shared LLC absorbs, so cycle
     # and DRAM totals may differ — but the work still hits DRAM.
     assert inter_system.dram_accesses() > 0

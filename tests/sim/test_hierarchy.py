@@ -108,10 +108,10 @@ def test_non_inclusive_keeps_private_copies():
     assert hierarchy.l1[0].contains(first_line)  # survives L3 eviction
 
 
-def test_touch_sequential_equivalent_to_loop():
+def test_access_block_equivalent_to_loop():
     a = make_hierarchy()
     b = make_hierarchy()
-    total_a = a.touch_sequential(0, ArrayId.INCIDENT_VERTEX, 0, 40)
+    total_a = a.access_block(0, ArrayId.INCIDENT_VERTEX, 0, 40)
     total_b = sum(b.access(0, ArrayId.INCIDENT_VERTEX, i) for i in range(40))
     assert total_a == total_b
     assert a.dram_accesses() == b.dram_accesses()

@@ -116,15 +116,6 @@ def test_block_of_zero_or_negative_count_is_free() -> None:
     assert snapshot(hierarchy) == before
 
 
-def test_touch_sequential_matches_per_element_reads() -> None:
-    batched = make_hierarchy()
-    reference = make_hierarchy()
-    batched.touch_sequential(0, ArrayId.VERTEX_VALUE, 0, 100)
-    for index in range(100):
-        reference.access(0, ArrayId.VERTEX_VALUE, index, write=False)
-    assert snapshot(batched) == snapshot(reference)
-
-
 # -- prober closures vs the methods they replace ------------------------------
 
 

@@ -16,7 +16,6 @@ from repro.sim import (
     PhaseProfiler,
     SimulatedSystem,
     TraceObserver,
-    TracingSystem,
     instrument,
     scaled_config,
 )
@@ -75,19 +74,6 @@ def test_iteration_timeline_frontiers(small_hypergraph) -> None:
         assert [s.phase for s in iteration.phases] == ["hyperedge", "vertex"]
     cycles = sum(s.cycles for it in timeline for s in it.phases)
     assert cycles == result.cycles
-
-
-def test_trace_observer_matches_tracing_system(small_hypergraph) -> None:
-    config = scaled_config(num_cores=4, llc_kb=2)
-    algorithm = PageRank(iterations=1)
-    recorder = TracingSystem(config)
-    HygraEngine().run(algorithm, small_hypergraph, recorder)
-
-    observed = InstrumentedSystem(SimulatedSystem(config), [TraceObserver()])
-    HygraEngine().run(algorithm, small_hypergraph, observed)
-    trace = observed.observer(TraceObserver).trace
-
-    assert trace == recorder.trace
 
 
 def test_wrapper_delegates_identity_and_results() -> None:

@@ -9,7 +9,7 @@ from repro.sim import (
     MemorySystem,
     NullSystem,
     SimulatedSystem,
-    TracingSystem,
+    TraceObserver,
     scaled_config,
 )
 
@@ -19,7 +19,10 @@ from repro.sim import (
     [
         lambda: NullSystem(),
         lambda: SimulatedSystem(scaled_config(num_cores=2, llc_kb=2)),
-        lambda: TracingSystem(scaled_config(num_cores=2, llc_kb=2)),
+        lambda: InstrumentedSystem(
+            SimulatedSystem(scaled_config(num_cores=2, llc_kb=2)),
+            [TraceObserver()],
+        ),
         lambda: InstrumentedSystem(NullSystem()),
         lambda: InstrumentedSystem.profiled(
             SimulatedSystem(scaled_config(num_cores=2, llc_kb=2))
